@@ -1,7 +1,8 @@
 #!/bin/sh
 # The full local gate, in CI order: build everything, run the static-analysis
-# lint sweep, run the test suite, then smoke the benchmark harness (the paper
-# tables exercise every experiment driver end to end).
+# lint sweep, run the test suite, then check the benchmark harnesses (the
+# perfbench self-test, and the paper tables exercising every experiment end
+# to end).
 #
 #   bin/check.sh
 #
@@ -45,6 +46,9 @@ dune build @obs
 
 echo "== bench check-model (model cycles vs committed BENCH_wall.json) =="
 dune exec bench/main.exe -- check-model
+
+echo "== perfbench self-test (benchmark harness invariants) =="
+python3 perfbench/run.py --self-test
 
 echo "== bench smoke (paper tables) =="
 dune exec bench/main.exe -- tables > /dev/null

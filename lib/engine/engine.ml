@@ -53,8 +53,9 @@ let interp_only = { (default_config ()) with jit = false }
    on a pool worker never leaks its closures into unrelated engine runs.
    Installers that need scoping use the [with_...] combinators. *)
 
-(* Called with every optimized MIR graph right before lowering
-   (jsvm --dump-mir; tests inspect pass output in situ). *)
+(* Called with every optimized MIR graph the lowerer consumed, at the
+   compile's landing (jsvm --dump-mir; tests inspect pass output in
+   situ). *)
 let mir_hook : (Mir.func -> unit) option Support.Tls.t = Support.Tls.make (fun () -> None)
 
 let set_mir_hook h = Support.Tls.set mir_hook h
@@ -62,8 +63,8 @@ let with_mir_hook h f = Support.Tls.with_value mir_hook (Some h) f
 
 (* Warning sink for the lint layer: when pipeline checks are on, the
    specialization-soundness checker's warnings (redundant guards, dead
-   resume points) are delivered here instead of aborting compilation.
-   Errors always raise [Diag.Failed]. *)
+   resume points) are delivered here, at the compile's landing, instead
+   of aborting compilation. Errors always abort it. *)
 let diag_warn_hook : (Diag.t -> unit) option Support.Tls.t =
   Support.Tls.make (fun () -> None)
 
@@ -139,38 +140,24 @@ type func_state = {
 (* Background compilation: request payloads                            *)
 (* ------------------------------------------------------------------ *)
 
-(* What one background compile produced. Charges are carried, not yet
-   applied: a background compile never touches [compile_cycles] (the
-   model clock) — the harvest adds them to the off-clock [bg_cycles]
-   accumulator instead, which is exactly how "hot-call sites never charge
-   synchronous compile cycles" is made true rather than merely claimed. *)
-type bg_out = {
-  g_code : Code.t;
-  g_mir : Mir.func;
-  g_stats : Pipeline.run_stats;
-  g_mir_charge : int;
-  g_backend_charge : int;
-  g_warnings : Diag.t list;  (* spec-check warnings, delivered at harvest *)
-}
-
-type bg_result = (bg_out, Diag.t * int (* cycles wasted before the abort *)) result
+(* One step up the polyvariant widen ladder, captured when it was decided:
+   the [Version_widen] event's payload. *)
+type widen = { w_index : int; w_from : string; w_to : string; w_entries : int }
 
 (* The install plan enqueued alongside the deferred compile. Everything
    the harvest needs is decided at enqueue time — fault draws included —
-   so the payload is closed over immutable data and the physical compile
-   can run on any domain at any wall-clock moment. *)
+   so the request is closed over immutable data and the physical compile
+   can run on any domain at any wall-clock moment. The outcome's charges
+   are carried, not yet applied: a background compile never touches
+   [compile_cycles] (the model clock) — the harvest adds them to the
+   off-clock [bg_cycles] accumulator instead, which is exactly how
+   "hot-call sites never charge synchronous compile cycles" is made true
+   rather than merely claimed. *)
 type bg_job = {
-  j_task : bg_result Bgcompile.Task.t;
-  j_kind : string;  (* "values" | "selective" | "tags" | "generic" *)
-  j_specialized : bool;  (* burned-in values (spec_args was passed) *)
-  j_selective : bool;
-  j_widened : bool;  (* tag-keyed (spec_tags was passed) *)
-  j_key : Policy.vkey;  (* the cache key the artifact will install under *)
-  j_osr : Builder.osr_request option;  (* loop-head snapshot, if OSR-flavored *)
-  j_supersede : compiled option;  (* widen ladder victim to detach on install *)
-  j_widen_info : (int * string * string * int) option;
-      (* (index, from_key, to_key, entries) for the Version_widen event,
-         captured when the ladder step was decided *)
+  j_task : Jit.outcome Bgcompile.Task.t;
+  j_req : Jit.request;  (* its key is the cache key the artifact installs under *)
+  j_supersede : (compiled * widen) option;
+      (* widen ladder victim to detach on install, with its ladder step *)
   j_flow : int;
       (* Perfetto flow id stitching this request's enqueue to its install;
          0 when no tracer was attached at enqueue *)
@@ -511,246 +498,6 @@ let policy_view t fs =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Compilation                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* The synchronous factory for executable [Code.t]. Every blocking
-   compilation path — hot-call compile (generic or specialized), cache
-   fill beyond the first entry, selective narrowing, generic
-   recompilation after deopt, and OSR compilation from a loop head —
-   goes through this function, so the verification below covers all code
-   the executor can ever run. The only other door is [bg_core] below,
-   which runs the same build→check→optimize→lower→verify sequence for
-   the background queue. Keep it that way: a new path that lowers MIR
-   elsewhere would bypass the lint layer. *)
-let compile t fs ?spec_args ?spec_mask ?spec_tags ?osr () =
-  let func = t.program.Bytecode.Program.funcs.(fs.fid) in
-  let name = func.Bytecode.Program.name in
-  let specialized = spec_args <> None in
-  let selective = spec_mask <> None in
-  let is_osr = osr <> None in
-  (match spec_args with
-  | Some args ->
-    emit t (fun () ->
-        Telemetry.Specialize
-          { fid = fs.fid; fname = name; args = display_args args; mask = spec_mask })
-  | None ->
-    (* Tag-keyed (widened) version: announce what it specializes on. Only
-       the polyvariant policy passes [spec_tags], so the paper policy's
-       event stream is untouched. *)
-    (match spec_tags with
-    | Some tags ->
-      emit t (fun () ->
-          Telemetry.Specialize
-            {
-              fid = fs.fid;
-              fname = name;
-              args = Policy.key_to_string (Policy.Key_tags tags);
-              mask = None;
-            })
-    | None -> ()));
-  emit t (fun () ->
-      Telemetry.Compile_start { fid = fs.fid; fname = name; specialized; selective; osr = is_osr });
-  let cycles_before = !(t.compile_cycles) in
-  (* Compilation charges no interpreter or native cycles, so the whole
-     compile occupies [start_now, start_now + charged) on the span clock
-     and pass/codegen children can be placed retroactively inside it. *)
-  let start_now = now t in
-  let arg_tags = stable_tags fs in
-  let mir =
-    Builder.build ~program:t.program ~func ?spec_args ?spec_mask ?spec_tags ~arg_tags
-      ?osr ~no_checked_int:fs.overflow_bailed ~known_globals:t.known_globals ()
-  in
-  let spec_check stage =
-    if Pipeline.checks () then begin
-      let ds = Spec_check.check ~stage mir in
-      List.iter
-        (fun d ->
-          if Diag.is_error d then raise (Diag.Failed d)
-          else match Support.Tls.get diag_warn_hook with Some h -> h d | None -> ())
-        ds
-    end
-  in
-  (* Baked constants are audited against the cached tuple on the fresh
-     graph, where the builder's argument-materialization layout still
-     holds; the guard/resume-point audit runs on the optimized graph the
-     lowerer will consume. *)
-  spec_check `Built;
-  (* Tiered pipelines: the polyvariant policy compiles generic versions
-     with the quick baseline schedule (the policy decides; the paper
-     policy always returns [cfg.opt] unchanged). *)
-  let opt =
-    Policy.compile_opt t.cfg.policy t.cfg.opt
-      ~specialized:(spec_args <> None || spec_tags <> None)
-      ~size:(Array.length func.Bytecode.Program.code)
-  in
-  (* Overload tier: while the service layer has the engine degraded, every
-     new compile takes the quick baseline schedule regardless of policy —
-     specialization is shed before requests are. *)
-  let opt = if !(t.degrade) then Policy.overload_opt opt else opt in
-  let pass_stats = Pipeline.apply ~program:t.program opt mir in
-  (* The optimizer's work is paid for as soon as it happened — an abort
-     below (a diagnostic or an injected fault) still charges it, which is
-     what makes compile failures costly rather than free retries. The
-     split charge sums to exactly the old single charge on a clean run. *)
-  let mir_charge = Cost.compile_per_mir_instr * pass_stats.Pipeline.mir_instrs_processed in
-  t.compile_cycles := !(t.compile_cycles) + mir_charge;
-  Profile.note_compile ~fid:fs.fid ~stage:"mir" mir_charge;
-  (* Per-pass child spans, sequential from the compile's start. Each pass
-     was charged [compile_per_mir_instr] per instruction it entered with
-     ([pd_before]), and every recorded pass was preceded by exactly one
-     such charge, so the children sum to at most [mir_charge] and always
-     fit inside the parent compile span. *)
-  (match t.tracer with
-  | Some _ ->
-    ignore
-      (List.fold_left
-         (fun at pd ->
-           let dur = Cost.compile_per_mir_instr * pd.Telemetry.pd_before in
-           span_mark t ~name:("pass:" ^ pd.Telemetry.pd_pass) ~cat:"pass" ~start:at ~dur
-             ~args:
-               [ ("before", string_of_int pd.Telemetry.pd_before);
-                 ("after", string_of_int pd.Telemetry.pd_after) ]
-             fs.fid;
-           at + dur)
-         start_now pass_stats.Pipeline.passes)
-  | None -> ());
-  if Faults.fire Faults.Compile_diag then
-    Diag.error ~layer:"fault" ~func:name ~fid:fs.fid "injected compile_diag fault";
-  spec_check `Optimized;
-  (match Support.Tls.get mir_hook with Some hook -> hook mir | None -> ());
-  let vcode = Lower.run mir in
-  let code, intervals = Regalloc.run vcode in
-  let backend_charge =
-    (Cost.compile_per_native_instr * Code.size code)
-    + (Cost.compile_per_interval * intervals)
-  in
-  t.compile_cycles := !(t.compile_cycles) + backend_charge;
-  Profile.note_compile ~fid:fs.fid ~stage:"codegen" backend_charge;
-  span_mark t ~name:"codegen" ~cat:"codegen" ~start:(start_now + mir_charge)
-    ~dur:backend_charge
-    ~args:[ ("size", string_of_int (Code.size code)) ]
-    fs.fid;
-  (* Internal assert on the backend's output (no model cycles charged):
-     catches allocation and snapshot bugs at their source instead of as a
-     downstream miscomputation. A failure here aborts the compilation with
-     the backend work already charged. *)
-  Code_verify.run code;
-  if Faults.fire Faults.Code_verify then
-    Diag.error ~layer:"fault" ~func:name ~fid:fs.fid "injected code_verify fault";
-  (* Interprocedural facts and version ids exist only under the
-     polyvariant policy; the paper policy's counters and code records stay
-     byte-identical to the pre-policy engine. *)
-  if t.cfg.policy = Policy.Polyvariant then begin
-    record_anticipated t mir;
-    fs.next_version <- fs.next_version + 1;
-    code.Code.version <- fs.next_version
-  end;
-  bump t fs Telemetry.Key.compiles;
-  if !(t.degrade) then bump t fs Telemetry.Key.compiles_degraded;
-  if specialized then bump t fs Telemetry.Key.compiles_specialized;
-  if spec_tags <> None then bump t fs Telemetry.Key.compiles_widened;
-  if is_osr then bump t fs Telemetry.Key.compiles_osr;
-  if pass_stats.Pipeline.inlined > 0 then begin
-    bump ~n:pass_stats.Pipeline.inlined t fs Telemetry.Key.inlined;
-    emit t (fun () ->
-        Telemetry.Inline_decision
-          { fid = fs.fid; fname = name; inlined = pass_stats.Pipeline.inlined })
-  end;
-  if pass_stats.Pipeline.guards_elided > 0 then begin
-    bump ~n:pass_stats.Pipeline.guards_elided t fs Telemetry.Key.guards_elided;
-    List.iter
-      (fun (e : Mir.elision) ->
-        emit t (fun () ->
-            Telemetry.Guard_elided
-              {
-                fid = fs.fid;
-                fname = name;
-                guard = e.Mir.el_kind;
-                origin_fid = e.Mir.el_ofid;
-                pc = e.Mir.el_pc;
-              }))
-      pass_stats.Pipeline.elisions
-  end;
-  emit t (fun () ->
-      Telemetry.Compile_end
-        {
-          fid = fs.fid;
-          fname = name;
-          specialized;
-          selective;
-          osr = is_osr;
-          size = Code.size code;
-          cycles = !(t.compile_cycles) - cycles_before;
-          passes = pass_stats.Pipeline.passes;
-        });
-  fs.sizes <- (specialized, Code.size code) :: fs.sizes;
-  let key =
-    match spec_args with
-    | Some a -> Policy.Key_values (a, spec_mask)
-    | None -> (
-      match spec_tags with
-      | Some tags -> Policy.Key_tags tags
-      | None -> Policy.Key_generic)
-  in
-  { code; key; strikes = 0; last_use = 0 }
-
-(* The background compile body: the same build → spec-check → optimize →
-   lower → allocate → verify sequence as [compile], shorn of everything
-   that must stay on the requesting isolate — telemetry, spans, profile
-   attribution, clock charges, TLS hooks. It may run on any pool domain,
-   so every input arrives as an explicit argument (captured at enqueue)
-   and every observation leaves in the returned value: warnings are
-   collected rather than delivered, fault decisions ([fire_diag],
-   [fire_verify]) were drawn at enqueue, and the cycle charges are
-   reported for the harvester to book off-clock. Raises nothing:
-   [Diag.Failed] is folded into the result. *)
-let bg_core ~program ~(func : Bytecode.Program.func) ?spec_args ?spec_mask ?spec_tags
-    ~arg_tags ?osr ~no_checked_int ~known_globals ~opt ~check ~fire_diag ~fire_verify () =
-  let name = func.Bytecode.Program.name in
-  let fid = func.Bytecode.Program.fid in
-  let warnings = ref [] in
-  let charged = ref 0 in
-  try
-    let mir =
-      Builder.build ~program ~func ?spec_args ?spec_mask ?spec_tags ~arg_tags ?osr
-        ~no_checked_int ~known_globals ()
-    in
-    let spec_check stage =
-      if check then
-        List.iter
-          (fun d ->
-            if Diag.is_error d then raise (Diag.Failed d)
-            else warnings := d :: !warnings)
-          (Spec_check.check ~stage mir)
-    in
-    spec_check `Built;
-    let pass_stats = Pipeline.apply ~check ~program opt mir in
-    let mir_charge = Cost.compile_per_mir_instr * pass_stats.Pipeline.mir_instrs_processed in
-    charged := mir_charge;
-    if fire_diag then Diag.error ~layer:"fault" ~func:name ~fid "injected compile_diag fault";
-    spec_check `Optimized;
-    let vcode = Lower.run mir in
-    let code, intervals = Regalloc.run vcode in
-    let backend_charge =
-      (Cost.compile_per_native_instr * Code.size code)
-      + (Cost.compile_per_interval * intervals)
-    in
-    charged := mir_charge + backend_charge;
-    Code_verify.run code;
-    if fire_verify then Diag.error ~layer:"fault" ~func:name ~fid "injected code_verify fault";
-    Ok
-      {
-        g_code = code;
-        g_mir = mir;
-        g_stats = pass_stats;
-        g_mir_charge = mir_charge;
-        g_backend_charge = backend_charge;
-        g_warnings = List.rev !warnings;
-      }
-  with Diag.Failed d -> Error (d, !charged)
-
-(* ------------------------------------------------------------------ *)
 (* Failure containment: quarantine, code-cache budget, the barrier      *)
 (* ------------------------------------------------------------------ *)
 
@@ -866,23 +613,233 @@ let admit t entry =
     !(t.cache_bytes) + need <= t.cfg.code_cache_bytes
   end
 
-(* The containment barrier around the compile factory: a compilation that
-   fails — a verifier/lint diagnostic or an injected fault — is charged
-   for the work it did, reported ([Compile_abort], [diag_abort_hook]) and
-   answered with a quarantine; the caller falls back to the interpreter.
-   This is the boundary that keeps [Diag.Failed] from escaping [run]. *)
-let try_compile (t : t) fs ?spec_args ?spec_mask ?spec_tags ?osr () =
-  let cycles_before = !(t.compile_cycles) in
+(* ------------------------------------------------------------------ *)
+(* Compilation: the request builder, the landing and the barrier       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every compilation — hot-call compile (generic or specialized), cache
+   fill beyond the first entry, selective narrowing, generic recompilation
+   after deopt, the widen ladder, promotion and OSR from a loop head, in
+   either mode — runs through the one door [Jit.compile], so the
+   verification there covers all code the executor can ever run. Keep it
+   that way: a new path that lowers MIR elsewhere would bypass the lint
+   layer. [jit_request] builds the door's input and [landing] books its
+   output; what stays per mode is only when the compile runs (now, on the
+   model clock, in [try_compile]; or later, off it, through the queue). *)
+
+(* The compile request for [key], decided at this model-clock instant.
+   The two compile fault points are occurrence-counted here (the
+   compile's logical start), so the door itself draws nothing. A fired
+   diag fault aborts before the verifier barrier, so the verify draw only
+   happens when the compile would reach it. *)
+let jit_request t fs ?osr key =
+  let func = t.program.Bytecode.Program.funcs.(fs.fid) in
+  (* Tiered pipelines: the polyvariant policy compiles generic versions
+     with the quick baseline schedule (the policy decides; the paper
+     policy always returns [cfg.opt] unchanged). *)
+  let opt =
+    Policy.compile_opt t.cfg.policy t.cfg.opt
+      ~specialized:(match key with Policy.Key_generic -> false | _ -> true)
+      ~size:(Array.length func.Bytecode.Program.code)
+  in
+  (* Overload tier: while the service layer has the engine degraded, every
+     new compile takes the quick baseline schedule regardless of policy —
+     specialization is shed before requests are. *)
+  let opt = if !(t.degrade) then Policy.overload_opt opt else opt in
+  let fire_diag = Faults.fire Faults.Compile_diag in
+  let fire_verify = (not fire_diag) && Faults.fire Faults.Code_verify in
+  {
+    Jit.program = t.program;
+    func;
+    key;
+    osr;
+    arg_tags = stable_tags fs;
+    no_checked_int = fs.overflow_bailed;
+    known_globals = t.known_globals;
+    opt;
+    check = Pipeline.checks ();
+    fire_diag;
+    fire_verify;
+  }
+
+let deliver_warnings (o : Jit.outcome) =
+  match Support.Tls.get diag_warn_hook with
+  | Some h -> List.iter h o.Jit.warnings
+  | None -> ()
+
+(* One polyvariant ladder step taken: its victim left the cache. *)
+let note_widen t fs w =
+  bump t fs Telemetry.Key.versions_widened;
+  emit t (fun () ->
+      Telemetry.Version_widen
+        { fid = fs.fid; fname = fname t fs.fid; index = w.w_index; from_key = w.w_from;
+          to_key = w.w_to; entries = w.w_entries })
+
+(* The one landing for a compile outcome, whichever mode ran it, at the
+   model-clock instant the engine takes the result (the barrier's return
+   or the harvest). Warnings and the optimized graph are delivered for
+   aborted compiles too. An abort is reported ([diag_abort_hook],
+   [Compile_abort]) and answered with a quarantine; the caller falls back
+   to the interpreter. A success stamps its version, bumps the compile
+   counters and becomes an uninstalled cache entry; admission is the
+   caller's. *)
+let landing t fs (r : Jit.request) (o : Jit.outcome) =
+  let name = fname t fs.fid in
+  let specialized = Jit.specialized r.Jit.key in
+  (* The hooks sit inside the barrier: one that rejects the graph by
+     raising a diagnostic aborts the compile like any verifier would. *)
+  let result =
+    match
+      deliver_warnings o;
+      match (o.Jit.mir, Support.Tls.get mir_hook) with
+      | Some mir, Some hook -> hook mir
+      | _ -> ()
+    with
+    | () -> o.Jit.result
+    | exception Diag.Failed d -> Error d
+  in
+  match result with
+  | Error d ->
+    bump t fs Telemetry.Key.compiles_aborted;
+    (match Support.Tls.get diag_abort_hook with Some h -> h d | None -> ());
+    emit t (fun () ->
+        Telemetry.Compile_abort
+          {
+            fid = fs.fid;
+            fname = name;
+            specialized;
+            osr = r.Jit.osr <> None;
+            reason = d.Diag.message;
+            cycles = o.Jit.mir_charge + o.Jit.backend_charge;
+          });
+    quarantine t fs Telemetry.Compile_fault;
+    None
+  | Ok code ->
+    (* Interprocedural facts and version ids exist only under the
+       polyvariant policy; the paper policy's counters and code records
+       stay byte-identical to the pre-policy engine. *)
+    if t.cfg.policy = Policy.Polyvariant then begin
+      Option.iter (record_anticipated t) o.Jit.mir;
+      fs.next_version <- fs.next_version + 1;
+      code.Code.version <- fs.next_version
+    end;
+    let stats = Option.get o.Jit.stats in
+    bump t fs Telemetry.Key.compiles;
+    if !(t.degrade) then bump t fs Telemetry.Key.compiles_degraded;
+    if specialized then bump t fs Telemetry.Key.compiles_specialized;
+    (match r.Jit.key with
+    | Policy.Key_tags _ -> bump t fs Telemetry.Key.compiles_widened
+    | Policy.Key_values _ | Policy.Key_generic -> ());
+    if r.Jit.osr <> None then bump t fs Telemetry.Key.compiles_osr;
+    if stats.Pipeline.inlined > 0 then begin
+      bump ~n:stats.Pipeline.inlined t fs Telemetry.Key.inlined;
+      emit t (fun () ->
+          Telemetry.Inline_decision { fid = fs.fid; fname = name; inlined = stats.Pipeline.inlined })
+    end;
+    if stats.Pipeline.guards_elided > 0 then begin
+      bump ~n:stats.Pipeline.guards_elided t fs Telemetry.Key.guards_elided;
+      List.iter
+        (fun (e : Mir.elision) ->
+          emit t (fun () ->
+              Telemetry.Guard_elided
+                {
+                  fid = fs.fid;
+                  fname = name;
+                  guard = e.Mir.el_kind;
+                  origin_fid = e.Mir.el_ofid;
+                  pc = e.Mir.el_pc;
+                }))
+        stats.Pipeline.elisions
+    end;
+    fs.sizes <- (specialized, Code.size code) :: fs.sizes;
+    Some { code; key = r.Jit.key; strikes = 0; last_use = 0 }
+
+(* The synchronous barrier: compile [key] now, charging the model clock.
+   A compilation that fails — a verifier/lint diagnostic or an injected
+   fault — is charged for the work it did and landed as an abort; this is
+   the boundary that keeps [Diag.Failed] from escaping [run]. *)
+let try_compile t fs ?osr key =
+  let name = fname t fs.fid in
+  let specialized = Jit.specialized key in
   (* The span covers successful and aborted compiles alike — wasted cycles
      are charged, so they must be visible in the trace too. *)
   span_begin t
     ~name:(if count t fs Telemetry.Key.compiles > 0 then "recompile" else "compile")
     ~cat:"compile" fs.fid;
-  match compile t fs ?spec_args ?spec_mask ?spec_tags ?osr () with
-  | entry ->
+  (match key with
+  | Policy.Key_values (args, mask) ->
+    emit t (fun () ->
+        Telemetry.Specialize { fid = fs.fid; fname = name; args = display_args args; mask })
+  | Policy.Key_tags _ ->
+    (* Tag-keyed (widened) version: announce what it specializes on. Only
+       the polyvariant policy compiles these, so the paper policy's event
+       stream is untouched. *)
+    emit t (fun () ->
+        Telemetry.Specialize
+          { fid = fs.fid; fname = name; args = Policy.key_to_string key; mask = None })
+  | Policy.Key_generic -> ());
+  let selective = match key with Policy.Key_values (_, Some _) -> true | _ -> false in
+  emit t (fun () ->
+      Telemetry.Compile_start
+        { fid = fs.fid; fname = name; specialized; selective; osr = osr <> None });
+  (* Compilation charges no interpreter or native cycles, so the whole
+     compile occupies [start_now, start_now + charged) on the span clock
+     and pass/codegen children can be placed retroactively inside it. *)
+  let start_now = now t in
+  let r = jit_request t fs ?osr key in
+  let o = Jit.compile r in
+  (match o.Jit.stats with
+  | Some stats ->
+    t.compile_cycles := !(t.compile_cycles) + o.Jit.mir_charge;
+    Profile.note_compile ~fid:fs.fid ~stage:"mir" o.Jit.mir_charge;
+    (* Per-pass child spans, sequential from the compile's start. Each
+       pass was charged [compile_per_mir_instr] per instruction it entered
+       with ([pd_before]), and every recorded pass was preceded by exactly
+       one such charge, so the children sum to at most [mir_charge] and
+       always fit inside the parent compile span. *)
+    (match t.tracer with
+    | Some _ ->
+      ignore
+        (List.fold_left
+           (fun at pd ->
+             let dur = Cost.compile_per_mir_instr * pd.Telemetry.pd_before in
+             span_mark t ~name:("pass:" ^ pd.Telemetry.pd_pass) ~cat:"pass" ~start:at ~dur
+               ~args:
+                 [ ("before", string_of_int pd.Telemetry.pd_before);
+                   ("after", string_of_int pd.Telemetry.pd_after) ]
+               fs.fid;
+             at + dur)
+           start_now stats.Pipeline.passes)
+    | None -> ())
+  | None -> ());
+  if o.Jit.size > 0 then begin
+    t.compile_cycles := !(t.compile_cycles) + o.Jit.backend_charge;
+    Profile.note_compile ~fid:fs.fid ~stage:"codegen" o.Jit.backend_charge;
+    span_mark t ~name:"codegen" ~cat:"codegen" ~start:(start_now + o.Jit.mir_charge)
+      ~dur:o.Jit.backend_charge
+      ~args:[ ("size", string_of_int o.Jit.size) ]
+      fs.fid
+  end;
+  match landing t fs r o with
+  | None ->
+    span_end ~args:[ ("aborted", "true") ] t;
+    None
+  | Some entry ->
+    emit t (fun () ->
+        Telemetry.Compile_end
+          {
+            fid = fs.fid;
+            fname = name;
+            specialized;
+            selective;
+            osr = osr <> None;
+            size = o.Jit.size;
+            cycles = o.Jit.mir_charge + o.Jit.backend_charge;
+            passes = (Option.get o.Jit.stats).Pipeline.passes;
+          });
     span_end
       ~args:
-        [ ("specialized", if spec_args <> None then "true" else "false");
+        [ ("specialized", if specialized then "true" else "false");
           ("osr", if osr <> None then "true" else "false") ]
       t;
     if admit t entry then begin
@@ -893,22 +850,6 @@ let try_compile (t : t) fs ?spec_args ?spec_mask ?spec_tags ?osr () =
       quarantine t fs Telemetry.Cache_oom;
       None
     end
-  | exception Diag.Failed d ->
-    span_end ~args:[ ("aborted", "true") ] t;
-    bump t fs Telemetry.Key.compiles_aborted;
-    (match Support.Tls.get diag_abort_hook with Some h -> h d | None -> ());
-    emit t (fun () ->
-        Telemetry.Compile_abort
-          {
-            fid = fs.fid;
-            fname = fname t fs.fid;
-            specialized = spec_args <> None;
-            osr = osr <> None;
-            reason = d.Diag.message;
-            cycles = !(t.compile_cycles) - cycles_before;
-          });
-    quarantine t fs Telemetry.Compile_fault;
-    None
 
 (* Which arguments have been value-stable across every observed call. *)
 let stability_mask fs =
@@ -944,7 +885,7 @@ let bg_cancel t fs ~reason key =
    enqueue; the physical compile is free to run on any pool domain later.
    At most one request per function is in flight (further hot calls of a
    function that is already queued just keep interpreting). *)
-let bg_request t fs ~kind ?spec_args ?spec_mask ?spec_tags ?osr ?supersede ?widen_info () =
+let bg_request t fs ?osr ?supersede key =
   match t.bg with
   | None -> ()
   | Some q ->
@@ -957,31 +898,18 @@ let bg_request t fs ~kind ?spec_args ?spec_mask ?spec_tags ?osr ?supersede ?wide
     else if Faults.fire Faults.Bg_enqueue then
       bg_cancel t fs ~reason:"enqueue-fault" Telemetry.Key.bg_cancelled
     else begin
-      let func = t.program.Bytecode.Program.funcs.(fs.fid) in
-      let size = Array.length func.Bytecode.Program.code in
-      let specialized = spec_args <> None || spec_tags <> None in
-      let opt = Policy.compile_opt t.cfg.policy t.cfg.opt ~specialized ~size in
-      let cost = Cost.bg_compile_cost ~size ~specialized ~passes:(Pipeline.npasses opt) in
-      (* Fault decisions are occurrence-counted at enqueue (the compile's
-         logical start); the thunk itself draws nothing. A fired diag
-         fault aborts before the verifier barrier, so the verify draw
-         only happens when the compile would reach it — mirroring the
-         synchronous factory's conditional draw order. *)
-      let fire_diag = Faults.fire Faults.Compile_diag in
-      let fire_verify = (not fire_diag) && Faults.fire Faults.Code_verify in
-      let check = Pipeline.checks () in
-      let arg_tags = stable_tags fs in
-      let program = t.program
-      and known_globals = t.known_globals
-      and no_checked_int = fs.overflow_bailed in
-      let thunk () =
-        bg_core ~program ~func ?spec_args ?spec_mask ?spec_tags ~arg_tags ?osr
-          ~no_checked_int ~known_globals ~opt ~check ~fire_diag ~fire_verify ()
+      let kind = Jit.kind key in
+      let r = jit_request t fs ?osr key in
+      let cost =
+        Cost.bg_compile_cost
+          ~size:(Array.length r.Jit.func.Bytecode.Program.code)
+          ~specialized:(match key with Policy.Key_generic -> false | _ -> true)
+          ~passes:(Pipeline.npasses r.Jit.opt)
       in
       let inline =
-        (match spec_args with
-        | Some a -> Array.exists bg_mutable_value a
-        | None -> false)
+        (match key with
+        | Policy.Key_values (a, _) -> Array.exists bg_mutable_value a
+        | Policy.Key_tags _ | Policy.Key_generic -> false)
         ||
         match osr with
         | Some o ->
@@ -989,27 +917,13 @@ let bg_request t fs ~kind ?spec_args ?spec_mask ?spec_tags ?osr ?supersede ?wide
           || Array.exists bg_mutable_value o.Builder.osr_locals
         | None -> false
       in
-      let task = Bgcompile.Task.spawn ~inline thunk in
-      let key =
-        match spec_args with
-        | Some a -> Policy.Key_values (a, spec_mask)
-        | None -> (
-          match spec_tags with
-          | Some tags -> Policy.Key_tags tags
-          | None -> Policy.Key_generic)
-      in
+      let task = Bgcompile.Task.spawn ~inline (fun () -> Jit.compile r) in
       let flow_id = new_flow_id t in
       let job =
         {
           j_task = task;
-          j_kind = kind;
-          j_specialized = spec_args <> None;
-          j_selective = spec_mask <> None;
-          j_widened = spec_tags <> None;
-          j_key = key;
-          j_osr = osr;
+          j_req = r;
           j_supersede = supersede;
-          j_widen_info = widen_info;
           j_flow = flow_id;
           j_trace = Telemetry.current_trace ();
         }
@@ -1038,41 +952,14 @@ let bg_request t fs ~kind ?spec_args ?spec_mask ?spec_tags ?osr ?supersede ?wide
           span_flow t ~phase:`Start ~id:flow_id ~name:("bg-" ^ kind) fs.fid
     end
 
-(* One policy keying decision, routed to the queue instead of the
-   synchronous factory — the parameter construction mirrors
-   [compile_with_choice]/[specialize_selectively] exactly, including the
-   interprocedural-seed accounting and the all-varying blacklist. *)
-let bg_request_choice t fs args choice =
-  (match choice with
-  | Policy.Spec_values
-    when t.cfg.policy = Policy.Polyvariant
-         && Policy.anticipated_match (policy_view t fs) args ->
-    bump t fs Telemetry.Key.interpro_seeded
-  | _ -> ());
-  match choice with
-  | Policy.Spec_generic -> bg_request t fs ~kind:"generic" ()
-  | Policy.Spec_values -> bg_request t fs ~kind:"values" ~spec_args:args ()
-  | Policy.Spec_tags ->
-    bg_request t fs ~kind:"tags" ~spec_tags:(Array.map Value.tag_of (as_entry t fs args)) ()
-  | Policy.Spec_selective ->
-    let mask = stability_mask fs in
-    if Array.length mask = 0 || Array.exists Fun.id mask then
-      bg_request t fs ~kind:"selective" ~spec_args:args ~spec_mask:mask ()
-    else begin
-      blacklist t fs;
-      bg_request t fs ~kind:"generic" ()
-    end
-
-(* Install one harvested artifact. This is where everything the
-   synchronous path did around [compile] happens — at the model-clock
-   instant of the harvesting call or loop edge: warnings and the MIR hook
-   are delivered, counters bump, the version stamps, admission runs, and
-   the widen ladder's supersede detaches its victim. Cycle charges go to
-   the off-clock [bg_cycles] accumulator, never to the model clock.
-   Returns the installed entry (for the OSR poll to enter). *)
+(* Install one harvested artifact, at the model-clock instant of the
+   harvesting call or loop edge. The outcome lands exactly as a
+   synchronous one does ([landing]); what is the queue's own is the
+   off-clock charge, the install-fault retry, admission's supersede of
+   the widen ladder's victim, [Compile_ready] and the flow. Returns the
+   installed entry (for the OSR poll to enter). *)
 let bg_install_under t fs (e : bg_job Bgcompile.entry) =
   let j = e.Bgcompile.e_payload in
-  let name = fname t fs.fid in
   (* Exactly one flow finish per started flow: emitted on every terminal
      outcome of this job (install, abort, cancel), but not on the fault
      path's re-enqueue — the job stays in flight there. *)
@@ -1080,136 +967,77 @@ let bg_install_under t fs (e : bg_job Bgcompile.entry) =
     if j.j_flow <> 0 then
       span_flow ?trace:j.j_trace t ~phase:`Finish ~id:j.j_flow ~name:("bg-" ^ why) fs.fid
   in
-  match Bgcompile.Task.force j.j_task with
-  | Error (d, wasted) ->
-    t.bg_cycles := !(t.bg_cycles) + wasted;
-    bump t fs Telemetry.Key.compiles_aborted;
-    (match Support.Tls.get diag_abort_hook with Some h -> h d | None -> ());
-    emit t (fun () ->
-        Telemetry.Compile_abort
-          {
-            fid = fs.fid;
-            fname = name;
-            specialized = j.j_specialized;
-            osr = j.j_osr <> None;
-            reason = d.Diag.message;
-            cycles = wasted;
-          });
-    quarantine t fs Telemetry.Compile_fault;
-    finish_flow "abort";
-    None
-  | Ok out ->
-    let charge = out.g_mir_charge + out.g_backend_charge in
-    t.bg_cycles := !(t.bg_cycles) + charge;
-    List.iter
-      (fun d -> match Support.Tls.get diag_warn_hook with Some h -> h d | None -> ())
-      out.g_warnings;
-    if Faults.fire Faults.Bg_install then begin
-      (* Dropped artifact: the finished binary is discarded and the
-         request re-enqueued with doubled modeled cost (backoff) — the
-         redo is charged again at its own install — until the retry cap
-         quarantines the function. *)
-      bg_cancel t fs ~reason:"install-fault" Telemetry.Key.bg_cancelled;
-      if e.Bgcompile.e_attempts > t.cfg.compile_retries then begin
-        quarantine t fs Telemetry.Compile_fault;
-        finish_flow "cancel"
-      end
-      else begin
-        match t.bg with
-        | None -> finish_flow "cancel"
-        | Some q -> (
-          match
-            Bgcompile.enqueue q ~fid:fs.fid ~now:(now t) ~cost:(e.Bgcompile.e_cost * 2)
-              ~attempts:(e.Bgcompile.e_attempts + 1) j
-          with
-          (* Re-enqueued: the job (and its flow) stays in flight. *)
-          | Ok _ -> bump t fs Telemetry.Key.bg_queued
-          | Error `Overflow ->
-            bg_cancel t fs ~reason:"overflow" Telemetry.Key.bg_overflow;
-            quarantine t fs Telemetry.Compile_fault;
-            finish_flow "cancel")
-      end;
-      None
+  let o = Bgcompile.Task.force j.j_task in
+  let charge = o.Jit.mir_charge + o.Jit.backend_charge in
+  t.bg_cycles := !(t.bg_cycles) + charge;
+  if Result.is_ok o.Jit.result && Faults.fire Faults.Bg_install then begin
+    (* Dropped artifact: the finished binary is discarded and the request
+       re-enqueued with doubled modeled cost (backoff) — the redo is
+       charged again at its own install — until the retry cap quarantines
+       the function. Each attempt still delivers its warnings. *)
+    deliver_warnings o;
+    bg_cancel t fs ~reason:"install-fault" Telemetry.Key.bg_cancelled;
+    if e.Bgcompile.e_attempts > t.cfg.compile_retries then begin
+      quarantine t fs Telemetry.Compile_fault;
+      finish_flow "cancel"
     end
     else begin
-      (match Support.Tls.get mir_hook with Some hook -> hook out.g_mir | None -> ());
-      let code = out.g_code in
-      if t.cfg.policy = Policy.Polyvariant then begin
-        record_anticipated t out.g_mir;
-        fs.next_version <- fs.next_version + 1;
-        code.Code.version <- fs.next_version
-      end;
-      bump t fs Telemetry.Key.compiles;
-      if j.j_specialized then bump t fs Telemetry.Key.compiles_specialized;
-      if j.j_widened then bump t fs Telemetry.Key.compiles_widened;
-      if j.j_osr <> None then bump t fs Telemetry.Key.compiles_osr;
-      if out.g_stats.Pipeline.inlined > 0 then begin
-        bump ~n:out.g_stats.Pipeline.inlined t fs Telemetry.Key.inlined;
-        emit t (fun () ->
-            Telemetry.Inline_decision
-              { fid = fs.fid; fname = name; inlined = out.g_stats.Pipeline.inlined })
-      end;
-      if out.g_stats.Pipeline.guards_elided > 0 then begin
-        bump ~n:out.g_stats.Pipeline.guards_elided t fs Telemetry.Key.guards_elided;
-        List.iter
-          (fun (el : Mir.elision) ->
-            emit t (fun () ->
-                Telemetry.Guard_elided
-                  {
-                    fid = fs.fid;
-                    fname = name;
-                    guard = el.Mir.el_kind;
-                    origin_fid = el.Mir.el_ofid;
-                    pc = el.Mir.el_pc;
-                  }))
-          out.g_stats.Pipeline.elisions
-      end;
-      fs.sizes <- (j.j_specialized, Code.size code) :: fs.sizes;
-      let entry = { code; key = j.j_key; strikes = 0; last_use = 0 } in
-      if admit t entry then begin
-        touch t entry;
-        (* Supersede: the widen ladder's victim goes only once its
-           replacement has actually landed — until here the old version
-           kept serving, which is the whole point of recompiling in the
-           background. The victim may have been evicted or discarded in
-           flight; [detach] no-ops then. *)
-        (match j.j_supersede with
-        | Some victim when List.memq victim fs.compiled ->
-          (match j.j_widen_info with
-          | Some (index, from_key, to_key, entries) ->
-            bump t fs Telemetry.Key.versions_widened;
-            emit t (fun () ->
-                Telemetry.Version_widen
-                  { fid = fs.fid; fname = name; index; from_key; to_key; entries })
-          | None -> ());
-          detach t fs victim;
-          bump t fs Telemetry.Key.bg_superseded
-        | _ -> ());
-        install_entry t fs entry;
-        bump t fs Telemetry.Key.bg_installed;
-        emit t (fun () ->
-            Telemetry.Compile_ready
-              {
-                fid = fs.fid;
-                fname = name;
-                size = Code.size code;
-                cycles = charge;
-                wait = now t - e.Bgcompile.e_enqueue;
-              });
-        (* Zero-length trace marker at the harvest instant (a full span
-           would overlap the enclosing interpret span arbitrarily). *)
-        span_mark t ~name:"bg-ready" ~cat:"bg" ~start:(now t) ~dur:0
-          ~args:[ ("size", string_of_int (Code.size code)) ]
-          fs.fid;
-        finish_flow "install";
-        Some entry
-      end
-      else begin
-        quarantine t fs Telemetry.Cache_oom;
-        finish_flow "cache-oom";
-        None
-      end
-    end
+      match t.bg with
+      | None -> finish_flow "cancel"
+      | Some q -> (
+        match
+          Bgcompile.enqueue q ~fid:fs.fid ~now:(now t) ~cost:(e.Bgcompile.e_cost * 2)
+            ~attempts:(e.Bgcompile.e_attempts + 1) j
+        with
+        (* Re-enqueued: the job (and its flow) stays in flight. *)
+        | Ok _ -> bump t fs Telemetry.Key.bg_queued
+        | Error `Overflow ->
+          bg_cancel t fs ~reason:"overflow" Telemetry.Key.bg_overflow;
+          quarantine t fs Telemetry.Compile_fault;
+          finish_flow "cancel")
+    end;
+    None
+  end
+  else
+    match landing t fs j.j_req o with
+    | None ->
+      finish_flow "abort";
+      None
+    | Some entry when admit t entry ->
+      touch t entry;
+      (* Supersede: the widen ladder's victim goes only once its
+         replacement has actually landed — until here the old version kept
+         serving, which is the whole point of recompiling in the
+         background. The victim may have been evicted or discarded in
+         flight; then there is nothing left to supersede. *)
+      (match j.j_supersede with
+      | Some (victim, w) when List.memq victim fs.compiled ->
+        note_widen t fs w;
+        detach t fs victim;
+        bump t fs Telemetry.Key.bg_superseded
+      | _ -> ());
+      install_entry t fs entry;
+      bump t fs Telemetry.Key.bg_installed;
+      emit t (fun () ->
+          Telemetry.Compile_ready
+            {
+              fid = fs.fid;
+              fname = fname t fs.fid;
+              size = o.Jit.size;
+              cycles = charge;
+              wait = now t - e.Bgcompile.e_enqueue;
+            });
+      (* Zero-length trace marker at the harvest instant (a full span
+         would overlap the enclosing interpret span arbitrarily). *)
+      span_mark t ~name:"bg-ready" ~cat:"bg" ~start:(now t) ~dur:0
+        ~args:[ ("size", string_of_int o.Jit.size) ]
+        fs.fid;
+      finish_flow "install";
+      Some entry
+    | Some _ ->
+      quarantine t fs Telemetry.Cache_oom;
+      finish_flow "cache-oom";
+      None
 
 (* Installs run at the harvesting call's model-clock instant but belong to
    the request that enqueued them: re-assert that request's trace context
@@ -1220,17 +1048,23 @@ let bg_install t fs (e : bg_job Bgcompile.entry) =
   | None -> bg_install_under t fs e
   | Some _ as trace -> Telemetry.with_trace trace (fun () -> bg_install_under t fs e)
 
-(* Harvest every ready artifact for [fs] at a call boundary. OSR-flavored
-   artifacts install too (their entry guards make them valid from a
-   normal call); the loop-edge poll below is the only place that enters
-   one mid-activation. *)
+(* Harvest every ready artifact for [fs], returning the installed entries
+   with their requests. OSR-flavored artifacts install too (their entry
+   guards make them valid from a normal call); the loop-edge poll below is
+   the only place that enters one mid-activation. *)
 let bg_harvest t fs =
   match t.bg with
-  | None -> ()
-  | Some q ->
-    List.iter
-      (fun e -> ignore (bg_install t fs e))
-      (Bgcompile.take_ready q ~fid:fs.fid ~now:(now t))
+  | None -> []
+  | Some q -> (
+    (* Polled at every call and loop edge: the common empty case
+       allocates nothing. *)
+    match Bgcompile.take_ready q ~fid:fs.fid ~now:(now t) with
+    | [] -> []
+    | ready ->
+      List.filter_map
+        (fun (e : bg_job Bgcompile.entry) ->
+          Option.map (fun entry -> (e.Bgcompile.e_payload.j_req, entry)) (bg_install t fs e))
+        ready)
 
 let bg_pending t fs =
   match t.bg with None -> None | Some q -> Bgcompile.pending_for q ~fid:fs.fid
@@ -1263,42 +1097,11 @@ let bg_osr_frame_matches (o : Builder.osr_request) (frame : Interp.frame) =
   args_agree o.Builder.osr_args frame.Interp.args
   && locals_agree o.Builder.osr_locals frame.Interp.locals
 
-(* The widen ladder, queue-routed: decide the one-step-wider key now, but
-   leave the victim installed and serving until the replacement lands —
-   [bg_install] detaches it then ([j_supersede]). This, together with the
-   queue-routed [promote] and miss paths, is the re-specialization loop:
-   operand drift shows up in the policy's live counters (arg-set changes,
-   misses), its decisions become queue entries, and installed versions
-   are superseded instead of dropped. *)
-let bg_widen_request t fs index args =
-  if bg_pending t fs <> None then ()
-  else
-    match List.nth_opt fs.compiled index with
-    | None -> ()
-    | Some victim -> (
-      match Policy.widen victim.key (as_entry t fs args) with
-      | None -> ()
-      | Some wider ->
-        if Faults.fire Faults.Version_widen then quarantine t fs Telemetry.Compile_fault
-        else begin
-          let info =
-            ( index,
-              Policy.key_to_string victim.key,
-              Policy.key_to_string wider,
-              List.length fs.compiled )
-          in
-          match wider with
-          | Policy.Key_tags tags ->
-            bg_request t fs ~kind:"tags" ~spec_tags:tags ~supersede:victim ~widen_info:info ()
-          | Policy.Key_generic ->
-            bg_request t fs ~kind:"generic" ~supersede:victim ~widen_info:info ()
-          | Policy.Key_values _ -> assert false
-        end)
-
-(* Cancel everything in flight (degrade transition, isolate recycle).
-   Artifacts never leak: pending pool jobs are cancelled or abandoned,
-   and nothing installs without passing through [bg_install]. *)
-let bg_drain t ~reason =
+(* Cancel everything in flight (degrade transition, isolate recycle),
+   closing each job's flow. Artifacts never leak: pending pool jobs are
+   cancelled or abandoned, and nothing installs without passing through
+   [bg_install]. A [silent] drain books no cancel. *)
+let bg_drain ?(silent = false) t ~reason =
   match t.bg with
   | None -> 0
   | Some q ->
@@ -1310,7 +1113,8 @@ let bg_drain t ~reason =
         if j.j_flow <> 0 then
           span_flow ?trace:j.j_trace t ~phase:`Finish ~id:j.j_flow
             ~name:("bg-" ^ reason) e.Bgcompile.e_fid;
-        bg_cancel t t.fstates.(e.Bgcompile.e_fid) ~reason Telemetry.Key.bg_cancelled)
+        if not silent then
+          bg_cancel t t.fstates.(e.Bgcompile.e_fid) ~reason Telemetry.Key.bg_cancelled)
       entries;
     List.length entries
 
@@ -1325,17 +1129,7 @@ let bg_in_flight t = match t.bg with None -> 0 | Some q -> Bgcompile.length q
    an untraced one — teardown is an artifact of observation, not a policy
    decision. No-op without a tracer. *)
 let flush_flows t =
-  match (t.bg, t.tracer) with
-  | Some q, Some _ ->
-    List.iter
-      (fun (e : bg_job Bgcompile.entry) ->
-        let j = e.Bgcompile.e_payload in
-        Bgcompile.Task.cancel j.j_task;
-        if j.j_flow <> 0 then
-          span_flow ?trace:j.j_trace t ~phase:`Finish ~id:j.j_flow ~name:"bg-teardown"
-            e.Bgcompile.e_fid)
-      (Bgcompile.drain q)
-  | _ -> ()
+  if t.tracer <> None then ignore (bg_drain ~silent:true t ~reason:"teardown")
 
 (* Degrade mode suppresses the queue entirely ([bg_active]) and drains it
    on the way in: under overload the last thing the isolate needs is
@@ -1343,6 +1137,101 @@ let flush_flows t =
 let set_degrade t on =
   if on && not !(t.degrade) then ignore (bg_drain t ~reason:"degrade");
   t.degrade := on
+
+(* ------------------------------------------------------------------ *)
+(* Compile requests: the one fork between the two modes                *)
+(* ------------------------------------------------------------------ *)
+
+(* Compile [key] now through the barrier, or hand it to the queue. Only a
+   synchronous success returns an entry to run; a queued request's caller
+   keeps interpreting (or keeps serving the binary it found) until the
+   artifact lands at a later harvest. *)
+let request_compile t fs ?osr key =
+  if bg_active t then begin
+    bg_request t fs ?osr key;
+    None
+  end
+  else try_compile t fs ?osr key
+
+(* Execute one policy keying decision. The [Spec_values] cases covered by
+   an interprocedural constant signature are counted — they are the
+   decisions the caller-side facts influenced. Selective keying burns in
+   only the stable argument positions; if nothing is stable any more it
+   falls back to a generic compile and stops trying. *)
+let compile_with_choice t fs args choice =
+  (match choice with
+  | Policy.Spec_values
+    when t.cfg.policy = Policy.Polyvariant
+         && Policy.anticipated_match (policy_view t fs) args ->
+    bump t fs Telemetry.Key.interpro_seeded
+  | _ -> ());
+  match choice with
+  | Policy.Spec_generic -> request_compile t fs Policy.Key_generic
+  | Policy.Spec_values -> request_compile t fs (Policy.Key_values (args, None))
+  | Policy.Spec_tags ->
+    request_compile t fs (Policy.Key_tags (Array.map Value.tag_of (as_entry t fs args)))
+  | Policy.Spec_selective ->
+    let mask = stability_mask fs in
+    (* Zero-arity functions are vacuously stable (specialization then only
+       affects OSR locals baking). *)
+    if Array.length mask = 0 || Array.exists Fun.id mask then
+      request_compile t fs (Policy.Key_values (args, Some mask))
+    else begin
+      blacklist t fs;
+      request_compile t fs Policy.Key_generic
+    end
+
+(* The polyvariant ladder step: replace the version at [index] with its
+   one-step-wider key (values → tags of [args], tags → generic). No
+   deopt, blacklist or storm accounting — the ladder terminates
+   structurally (a generic version matches everything, so a function can
+   widen at most [2 * cache_size] times ever). A synchronous step detaches
+   the victim before compiling its replacement; a queued one leaves the
+   victim serving until the replacement lands ([bg_install] supersedes it
+   then). Together with the queue-routed promote and miss paths, that is
+   the background re-specialization loop: operand drift shows up in the
+   policy's live counters, its decisions become queue entries, and
+   installed versions are superseded instead of dropped. *)
+let widen_version t fs index args =
+  if bg_active t && bg_pending t fs <> None then None
+  else
+    match List.nth_opt fs.compiled index with
+    | None -> None
+    | Some victim -> (
+      (* Widen to the tuple as the callee sees it (arity-adjusted), so a
+         tag key always has exactly one entry barrier per parameter — a
+         call with surplus or missing arguments must not size the key. *)
+      match Policy.widen victim.key (as_entry t fs args) with
+      | None -> None (* generic already; unreachable: generic keys never miss *)
+      | Some wider ->
+        (* Chaos layer: an injected widening failure quarantines the
+           function with the cache left untouched — no detach, no
+           [Version_widen] event — so the call interprets and the next
+           miss after the backoff retries the ladder step. Fired before
+           any mutation, exactly like an aborted compile. *)
+        if Faults.fire Faults.Version_widen then begin
+          quarantine t fs Telemetry.Compile_fault;
+          None
+        end
+        else begin
+          let w =
+            {
+              w_index = index;
+              w_from = Policy.key_to_string victim.key;
+              w_to = Policy.key_to_string wider;
+              w_entries = List.length fs.compiled;
+            }
+          in
+          if bg_active t then begin
+            bg_request t fs ~supersede:(victim, w) wider;
+            None
+          end
+          else begin
+            detach t fs victim;
+            note_widen t fs w;
+            try_compile t fs wider
+          end
+        end)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -1411,7 +1300,7 @@ and call_closure_at_depth t (c : Value.closure) args =
   (* Harvest first: an artifact whose modeled ready cycle has passed must
      be installed before the cache probe, so the very call that finds the
      queue done is the first call the binary serves. *)
-  if bg_active t then bg_harvest t fs;
+  if bg_active t then ignore (bg_harvest t fs);
   (* Any compile attempt below may abort (returning [None]): the call then
      falls back to plain interpretation and the quarantine clock decides
      when compilation is tried again. *)
@@ -1447,11 +1336,7 @@ and call_closure_at_depth t (c : Value.closure) args =
           (* Background mode: the generic binary serves this call too;
              the specialized sibling is queued and takes over at its
              harvest. *)
-          if bg_active t then begin
-            bg_request_choice t fs args choice;
-            None
-          end
-          else compile_with_choice t fs args choice)
+          compile_with_choice t fs args choice)
       | _ -> None
     in
     (match promoted with
@@ -1479,41 +1364,24 @@ and call_closure_at_depth t (c : Value.closure) args =
          back intact when the queue drains. *)
       if (not (can_compile t fs)) || !(t.degrade) then
         interpret t func ~upvals:c.Value.env ~args
-      else if bg_active t then begin
-        (* Queue-routed misses: the state transitions (deopt, blacklist,
-           cache clearing) happen now, exactly as in the synchronous
-           paths below; only the compile itself moves to the queue, so
-           this call — and every call until the artifact lands —
-           interprets instead of stalling. *)
-        (match Policy.on_miss t.cfg.policy (policy_view t fs) ~args with
-        | Policy.Miss_respecialize ->
-          clear_compiled t fs;
-          deopt t fs Telemetry.Arg_mismatch;
-          bg_request_choice t fs args Policy.Spec_selective
-        | Policy.Miss_fill choice -> bg_request_choice t fs args choice
-        | Policy.Miss_widen index -> bg_widen_request t fs index args
-        | Policy.Miss_deopt_generic ->
-          clear_compiled t fs;
-          deopt t fs Telemetry.Arg_mismatch;
-          blacklist t fs;
-          bg_request t fs ~kind:"generic" ());
-        interpret t func ~upvals:c.Value.env ~args
-      end
-      else begin
-        match Policy.on_miss t.cfg.policy (policy_view t fs) ~args with
-        | Policy.Miss_respecialize ->
-          clear_compiled t fs;
-          deopt t fs Telemetry.Arg_mismatch;
-          run_or_interp (specialize_selectively t fs args)
-        | Policy.Miss_fill choice ->
-          run_or_interp (compile_with_choice t fs args choice)
-        | Policy.Miss_widen index -> run_or_interp (widen_version t fs index args)
-        | Policy.Miss_deopt_generic ->
-          clear_compiled t fs;
-          deopt t fs Telemetry.Arg_mismatch;
-          blacklist t fs;
-          run_or_interp (try_compile t fs ())
-      end
+      else
+        (* The state transitions (deopt, blacklist, cache clearing) happen
+           now in either mode; a queue-routed compile leaves this call —
+           and every call until the artifact lands — interpreting instead
+           of stalling. *)
+        run_or_interp
+          (match Policy.on_miss t.cfg.policy (policy_view t fs) ~args with
+          | Policy.Miss_respecialize ->
+            clear_compiled t fs;
+            deopt t fs Telemetry.Arg_mismatch;
+            compile_with_choice t fs args Policy.Spec_selective
+          | Policy.Miss_fill choice -> compile_with_choice t fs args choice
+          | Policy.Miss_widen index -> widen_version t fs index args
+          | Policy.Miss_deopt_generic ->
+            clear_compiled t fs;
+            deopt t fs Telemetry.Arg_mismatch;
+            blacklist t fs;
+            request_compile t fs Policy.Key_generic)
     end
     else if
       t.cfg.jit && can_compile t fs
@@ -1526,90 +1394,14 @@ and call_closure_at_depth t (c : Value.closure) args =
         fs.fid;
       let view = policy_view t fs in
       let choice = Policy.choose_hot t.cfg.policy view ~args in
-      (* The headline path: the hot-call site hands the compile to the
-         queue and interprets this call — no synchronous compile cycles
-         are ever charged to the requester. The artifact lands at a later
-         call's harvest (or a loop edge's OSR poll). *)
-      if bg_active t then begin
-        bg_request_choice t fs args choice;
-        interpret t func ~upvals:c.Value.env ~args
-      end
-      else run_or_interp (compile_with_choice t fs args choice)
+      (* The headline path in background mode: the hot-call site hands
+         the compile to the queue and interprets this call — no
+         synchronous compile cycles are ever charged to the requester.
+         The artifact lands at a later call's harvest (or a loop edge's
+         OSR poll). *)
+      run_or_interp (compile_with_choice t fs args choice)
     end
     else interpret t func ~upvals:c.Value.env ~args
-
-(* Execute one policy keying decision. The [Spec_values] cases covered by
-   an interprocedural constant signature are counted — they are the
-   decisions the caller-side facts influenced. *)
-and compile_with_choice t fs args choice =
-  (match choice with
-  | Policy.Spec_values
-    when t.cfg.policy = Policy.Polyvariant
-         && Policy.anticipated_match (policy_view t fs) args ->
-    bump t fs Telemetry.Key.interpro_seeded
-  | _ -> ());
-  match choice with
-  | Policy.Spec_generic -> try_compile t fs ()
-  | Policy.Spec_selective -> specialize_selectively t fs args
-  | Policy.Spec_values -> try_compile t fs ~spec_args:args ()
-  | Policy.Spec_tags -> try_compile t fs ~spec_tags:(Array.map Value.tag_of (as_entry t fs args)) ()
-
-(* The polyvariant ladder step: detach the version at [index] and compile
-   its one-step-wider replacement (values → tags of [args], tags →
-   generic). No deopt, blacklist or storm accounting — the ladder
-   terminates structurally (a generic version matches everything, so a
-   function can widen at most [2 * cache_size] times ever). *)
-and widen_version t fs index args =
-  match List.nth_opt fs.compiled index with
-  | None -> None
-  | Some victim -> (
-    (* Widen to the tuple as the callee sees it (arity-adjusted), so a tag
-       key always has exactly one entry barrier per parameter — a call
-       with surplus or missing arguments must not size the key. *)
-    match Policy.widen victim.key (as_entry t fs args) with
-    | None -> None (* generic already; unreachable: generic keys never miss *)
-    | Some wider ->
-      (* Chaos layer: an injected widening failure quarantines the
-         function with the cache left untouched — no detach, no
-         [Version_widen] event — so the call interprets and the next
-         miss after the backoff retries the ladder step. Fired before
-         any mutation, exactly like an aborted compile. *)
-      if Faults.fire Faults.Version_widen then begin
-        quarantine t fs Telemetry.Compile_fault;
-        None
-      end
-      else begin
-      let entries = List.length fs.compiled in
-      detach t fs victim;
-      bump t fs Telemetry.Key.versions_widened;
-      emit t (fun () ->
-          Telemetry.Version_widen
-            {
-              fid = fs.fid;
-              fname = fname t fs.fid;
-              index;
-              from_key = Policy.key_to_string victim.key;
-              to_key = Policy.key_to_string wider;
-              entries;
-            });
-      (match wider with
-      | Policy.Key_tags tags -> try_compile t fs ~spec_tags:tags ()
-      | Policy.Key_generic -> try_compile t fs ()
-      | Policy.Key_values _ -> assert false)
-      end)
-
-(* Compile with only the stable argument positions burned in; if nothing is
-   stable any more, fall back to a generic compile and stop trying. *)
-and specialize_selectively t fs args =
-  let mask = stability_mask fs in
-  (* Zero-arity functions are vacuously stable (specialization then only
-     affects OSR locals baking). *)
-  if Array.length mask = 0 || Array.exists Fun.id mask then
-    try_compile t fs ~spec_args:args ~spec_mask:mask ()
-  else begin
-    blacklist t fs;
-    try_compile t fs ()
-  end
 
 and run_native_entry t fs func c args entry =
   let act = Exec.make_activation ~env:c.Value.env ~func ~args () in
@@ -1762,9 +1554,8 @@ and maybe_osr t (frame : Interp.frame) =
         ~args:[ ("pc", string_of_int frame.Interp.pc);
                 ("loop_edges", string_of_int edges) ]
         fs.fid;
-      let spec = want_specialize t fs in
       let spec_mask =
-        if spec && t.cfg.selective then begin
+        if want_specialize t fs && t.cfg.selective then begin
           let mask = stability_mask fs in
           (* All-varying arguments: give up on specializing this function,
              as the call path would. *)
@@ -1774,6 +1565,7 @@ and maybe_osr t (frame : Interp.frame) =
         end
         else None
       in
+      (* Read after the blacklist decision above. *)
       let spec = want_specialize t fs in
       let osr =
         {
@@ -1787,33 +1579,25 @@ and maybe_osr t (frame : Interp.frame) =
           osr_bake_locals = not (bg_active t);
         }
       in
-      let spec_args = if spec then Some args_now else None in
-      let spec_mask = if spec then spec_mask else None in
-      if bg_active t then begin
-        (* Enqueue with the loop-head snapshot and keep interpreting this
-           activation; the artifact is entered by the poll above once its
-           ready cycle passes — or serves later calls from its normal
-           entry if the loop finishes first. *)
-        let kind = if spec then (if spec_mask <> None then "selective" else "values") else "generic" in
-        bg_request t fs ~kind ?spec_args ?spec_mask ~osr ();
-        None
-      end
-      else begin
-        match try_compile t fs ?spec_args ?spec_mask ~osr () with
-        | None -> None  (* aborted: keep interpreting this activation *)
-        | Some compiled ->
-          install_entry t fs compiled;
-          let act =
-            {
-              Exec.act_args = args_now;
-              act_env = frame.Interp.upvals;
-              act_cells = frame.Interp.cells;
-              act_osr_args = args_now;
-              act_osr_locals = locals_now;
-            }
-          in
-          Some (run_native t fs func act compiled ~at_osr:true)
-      end
+      let key = if spec then Policy.Key_values (args_now, spec_mask) else Policy.Key_generic in
+      (* Background mode enqueues with the loop-head snapshot and keeps
+         interpreting this activation; the artifact is entered by the poll
+         above once its ready cycle passes — or serves later calls from
+         its normal entry if the loop finishes first. *)
+      match request_compile t fs ~osr key with
+      | None -> None  (* aborted or queued: keep interpreting this activation *)
+      | Some compiled ->
+        install_entry t fs compiled;
+        let act =
+          {
+            Exec.act_args = args_now;
+            act_env = frame.Interp.upvals;
+            act_cells = frame.Interp.cells;
+            act_osr_args = args_now;
+            act_osr_locals = locals_now;
+          }
+        in
+        Some (run_native t fs func act compiled ~at_osr:true)
     end
     else None
   end
@@ -1825,50 +1609,39 @@ and maybe_osr t (frame : Interp.frame) =
    finished binary mid-loop. A stale snapshot counts [bg.osr_stale] and
    keeps interpreting; the binary serves later calls regardless. *)
 and bg_osr_poll t fs (frame : Interp.frame) =
-  match t.bg with
-  | None -> None
-  | Some q -> (
-    match Bgcompile.take_ready q ~fid:fs.fid ~now:(now t) with
-    | [] -> None
-    | ready -> (
-      let installed =
-        List.filter_map
-          (fun (e : bg_job Bgcompile.entry) ->
-            match bg_install t fs e with
-            | None -> None
-            | Some entry -> Some (e.Bgcompile.e_payload, entry))
-          ready
-      in
-      match
-        List.find_map
-          (fun ((j : bg_job), entry) ->
-            match j.j_osr with
-            | Some o when o.Builder.osr_pc = frame.Interp.pc -> Some (o, entry)
-            | _ -> None)
-          installed
-      with
-      | None -> None
-      | Some (o, entry) ->
-        if bg_osr_frame_matches o frame then begin
-          bump t fs Telemetry.Key.bg_osr_entries;
-          emit t (fun () ->
-              Telemetry.Osr_entry
-                { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc });
-          let act =
-            {
-              Exec.act_args = Array.copy frame.Interp.args;
-              act_env = frame.Interp.upvals;
-              act_cells = frame.Interp.cells;
-              act_osr_args = Array.copy frame.Interp.args;
-              act_osr_locals = Array.copy frame.Interp.locals;
-            }
-          in
-          Some (run_native t fs frame.Interp.func act entry ~at_osr:true)
-        end
-        else begin
-          bump t fs Telemetry.Key.bg_osr_stale;
-          None
-        end))
+  match bg_harvest t fs with
+  | [] -> None
+  | installed -> (
+    match
+      List.find_map
+        (fun ((r : Jit.request), entry) ->
+          match r.Jit.osr with
+          | Some o when o.Builder.osr_pc = frame.Interp.pc -> Some (o, entry)
+          | _ -> None)
+        installed
+    with
+    | None -> None
+    | Some (o, entry) ->
+      if bg_osr_frame_matches o frame then begin
+        bump t fs Telemetry.Key.bg_osr_entries;
+        emit t (fun () ->
+            Telemetry.Osr_entry
+              { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc });
+        let act =
+          {
+            Exec.act_args = Array.copy frame.Interp.args;
+            act_env = frame.Interp.upvals;
+            act_cells = frame.Interp.cells;
+            act_osr_args = Array.copy frame.Interp.args;
+            act_osr_locals = Array.copy frame.Interp.locals;
+          }
+        in
+        Some (run_native t fs frame.Interp.func act entry ~at_osr:true)
+      end
+      else begin
+        bump t fs Telemetry.Key.bg_osr_stale;
+        None
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

@@ -163,15 +163,21 @@ type report = {
     domains, so hooks never race and never leak across harness cells. *)
 
 val set_mir_hook : (Mir.func -> unit) option -> unit
-(** Called with every optimized MIR graph just before lowering
-    ([jsvm --dump-mir]); [None] (the default) in normal operation. *)
+(** Called with every optimized MIR graph the lowerer consumed
+    ([jsvm --dump-mir]): synchronous or background, and also when the
+    compile then aborted in the backend. It runs when the engine takes
+    the compile's result (a background one at its harvest), on the
+    engine's domain; a hook that raises {!Diag.Failed} aborts that
+    compile. [None] (the default) in normal operation. *)
 
 val with_mir_hook : (Mir.func -> unit) -> (unit -> 'a) -> 'a
 (** Run with the MIR hook temporarily installed on this domain. *)
 
 val set_diag_warn_hook : (Diag.t -> unit) option -> unit
 (** Warning sink for the lint layer: when {!Pipeline.checks} is on, the
-    specialization-soundness checker's warnings are delivered here;
+    specialization-soundness checker's warnings are delivered here for
+    every compile, synchronous or background, aborted or not (an aborted
+    one delivers those its audits reached), just before the MIR hook;
     [None] drops them. *)
 
 val with_diag_warn_hook : (Diag.t -> unit) -> (unit -> 'a) -> 'a

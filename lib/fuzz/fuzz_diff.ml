@@ -76,6 +76,12 @@ let default_configs =
          ~cache_size:4 () )
   :: ("sccp", opt (Pipeline.make ~ps:true ~sccp:true ~li:true ~dce:true ~bce:true "sccp"))
   :: List.map (fun c -> (c.Pipeline.name, opt c)) Pipeline.figure9_configs
+  (* The background compile path, and its overflow path: a one-deep queue
+     drops every request made while another is in flight. *)
+  @ [ ("bg", Engine.default_config ~opt:Pipeline.all_on ~bg_compile:true ());
+      ( "bgpoly",
+        Engine.default_config ~opt:Pipeline.all_on ~policy:Policy.Polyvariant ~cache_size:4
+          ~bg_compile:true ~bg_queue_depth:1 () ) ]
 
 (* Every configuration is an independent pool task; the serial fold
    stopped at the first divergence, and the parallel merge reports the

@@ -279,6 +279,46 @@ let test_bg_install_fault_reenqueues_with_backoff () =
   let _, _, sync_out = run call_hot_src in
   Alcotest.(check string) "output unaffected" sync_out out
 
+(* An aborted compile is landed the same way in both modes: its spec-check
+   warnings and its optimized graph reach the hooks whether the compile ran
+   on the model clock or through the queue. The verify fault lands after
+   the backend, so the aborted graph passed every audit first. *)
+let test_code_verify_abort_delivers_like_sync () =
+  let src =
+    match
+      List.find_opt
+        (fun (m : Suite.member) -> m.Suite.m_name = "access-fannkuch")
+        (Option.get (Suites.find "SunSpider 1.0")).Suite.members
+    with
+    | Some m -> m.Suite.m_source
+    | None -> Alcotest.fail "access-fannkuch is missing"
+  in
+  let observe cfg =
+    let warnings = ref 0 and graphs = ref 0 in
+    let plan = Faults.make ~seed:3 [ (Faults.Code_verify, Faults.Nth 1) ] in
+    let engine, _, out =
+      Pipeline.with_checks true (fun () ->
+          Engine.with_diag_warn_hook
+            (fun _ -> incr warnings)
+            (fun () ->
+              Engine.with_mir_hook
+                (fun _ -> incr graphs)
+                (fun () -> Faults.with_plan plan (fun () -> run ~cfg src))))
+    in
+    (engine, !warnings, !graphs, out)
+  in
+  let sync_engine, sync_warnings, sync_graphs, sync_out =
+    observe (Engine.default_config ~opt:Pipeline.all_on ())
+  in
+  let bg_engine, bg_warnings, bg_graphs, bg_out = observe (bg_cfg ()) in
+  Alcotest.(check string) "same output" sync_out bg_out;
+  Alcotest.(check int) "sync aborted once" 1
+    (total sync_engine Telemetry.Key.compiles_aborted);
+  Alcotest.(check int) "bg aborted once" 1 (total bg_engine Telemetry.Key.compiles_aborted);
+  Alcotest.(check bool) "the abort produced warnings" true (sync_warnings > 0);
+  Alcotest.(check int) "warnings delivered as sync does" sync_warnings bg_warnings;
+  Alcotest.(check int) "MIR-hook calls as sync does" sync_graphs bg_graphs
+
 (* --- degrade drains and suppresses ----------------------------------- *)
 
 let test_degrade_suppresses_the_queue () =
@@ -372,6 +412,8 @@ let suites =
         Alcotest.test_case "supersede on operand drift" `Quick
           test_supersede_on_operand_drift;
         Alcotest.test_case "bg_enqueue fault drops" `Quick test_bg_enqueue_fault_drops_request;
+        Alcotest.test_case "code_verify abort lands like sync" `Quick
+          test_code_verify_abort_delivers_like_sync;
         Alcotest.test_case "bg_install fault re-enqueues" `Quick
           test_bg_install_fault_reenqueues_with_backoff;
         Alcotest.test_case "degrade suppresses the queue" `Quick
