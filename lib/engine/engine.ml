@@ -68,7 +68,6 @@ let with_mir_hook h f = Support.Tls.with_value mir_hook (Some h) f
 let diag_warn_hook : (Diag.t -> unit) option Support.Tls.t =
   Support.Tls.make (fun () -> None)
 
-let set_diag_warn_hook h = Support.Tls.set diag_warn_hook h
 let with_diag_warn_hook h f = Support.Tls.with_value diag_warn_hook (Some h) f
 
 (* Abort sink for the containment barrier: every diagnostic that aborts a
@@ -78,8 +77,6 @@ let with_diag_warn_hook h f = Support.Tls.with_value diag_warn_hook (Some h) f
    [Diag.Failed] no longer escapes [run]. *)
 let diag_abort_hook : (Diag.t -> unit) option Support.Tls.t =
   Support.Tls.make (fun () -> None)
-
-let set_diag_abort_hook h = Support.Tls.set diag_abort_hook h
 
 let with_diag_abort_hook h f = Support.Tls.with_value diag_abort_hook (Some h) f
 
@@ -194,6 +191,13 @@ type t = {
          clock ([now] never reads it), reported as [bg_compile_cycles] *)
   flow_seq : int ref;
       (* per-engine flow-id allocator (tracing only; see [new_flow_id]) *)
+  (* What the executors see. [make] builds the two records; [observe]
+     replaces them once per [run] with that run's observers, and every
+     interpreted frame and native activation of the run shares them.
+     [recorder] takes the run's compile charges. *)
+  mutable recorder : Profile.Recorder.t option;
+  mutable hooks : Interp.hooks;
+  mutable callbacks : Exec.callbacks;
 }
 
 type func_report = {
@@ -224,59 +228,6 @@ type report = {
   successful_funcs : int;
   deoptimized_funcs : int;
 }
-
-let make engine_config program =
-  (* Admission check: the interpreter and the MIR builder both trust the
-     compiler's output, so reject malformed bytecode before running any of
-     it. Raises [Diag.Failed]. *)
-  Bc_verify.check_program program;
-  let tel = Telemetry.create ~nfuncs:(Bytecode.Program.nfuncs program) () in
-  {
-    cfg = engine_config;
-    program;
-    istate = Interp.make_state ~max_depth:engine_config.max_depth program;
-    fstates =
-      Array.init (Bytecode.Program.nfuncs program) (fun fid ->
-          {
-            fid;
-            loop_edges = 0;
-            compiled = [];
-            no_specialize = false;
-            overflow_bailed = false;
-            observed_tags =
-              Array.make program.Bytecode.Program.funcs.(fid).Bytecode.Program.arity [];
-            stable_args = None;
-            last_args = None;
-            sizes = [];
-            quarantine_until = 0;
-            q_failures = 0;
-            pinned = false;
-            discards = 0;
-            next_version = 0;
-            anticipated = [];
-          });
-    native_cycles = ref 0;
-    compile_cycles = ref 0;
-    tel;
-    cache_bytes = ref 0;
-    lru_tick = ref 0;
-    depth = ref 0;
-    tracer =
-      (if Telemetry.spans_active tel then
-         Some (Profile.Tracer.create ~emit:(Telemetry.emit_span tel))
-       else None);
-    known_globals =
-      (if engine_config.policy = Policy.Polyvariant then
-         Bytecode.Program.known_global_funcs program
-       else [||]);
-    degrade = ref false;
-    bg =
-      (if engine_config.bg_compile then
-         Some (Bgcompile.create ~depth:engine_config.bg_queue_depth)
-       else None);
-    bg_cycles = ref 0;
-    flow_seq = ref 0;
-  }
 
 let telemetry t = t.tel
 let degraded t = !(t.degrade)
@@ -754,6 +705,12 @@ let landing t fs (r : Jit.request) (o : Jit.outcome) =
     fs.sizes <- (specialized, Code.size code) :: fs.sizes;
     Some { code; key = r.Jit.key; strikes = 0; last_use = 0 }
 
+(* A compile-stage charge, for the run's recorder. *)
+let note_compile t fs stage cycles =
+  match t.recorder with
+  | Some r -> Profile.Recorder.note_compile r ~fid:fs.fid ~stage cycles
+  | None -> ()
+
 (* The synchronous barrier: compile [key] now, charging the model clock.
    A compilation that fails — a verifier/lint diagnostic or an injected
    fault — is charged for the work it did and landed as an abort; this is
@@ -791,7 +748,7 @@ let try_compile t fs ?osr key =
   (match o.Jit.stats with
   | Some stats ->
     t.compile_cycles := !(t.compile_cycles) + o.Jit.mir_charge;
-    Profile.note_compile ~fid:fs.fid ~stage:"mir" o.Jit.mir_charge;
+    note_compile t fs "mir" o.Jit.mir_charge;
     (* Per-pass child spans, sequential from the compile's start. Each
        pass was charged [compile_per_mir_instr] per instruction it entered
        with ([pd_before]), and every recorded pass was preceded by exactly
@@ -814,7 +771,7 @@ let try_compile t fs ?osr key =
   | None -> ());
   if o.Jit.size > 0 then begin
     t.compile_cycles := !(t.compile_cycles) + o.Jit.backend_charge;
-    Profile.note_compile ~fid:fs.fid ~stage:"codegen" o.Jit.backend_charge;
+    note_compile t fs "codegen" o.Jit.backend_charge;
     span_mark t ~name:"codegen" ~cat:"codegen" ~start:(start_now + o.Jit.mir_charge)
       ~dur:o.Jit.backend_charge
       ~args:[ ("size", string_of_int o.Jit.size) ]
@@ -1248,37 +1205,24 @@ let rec call_value t (callee : Value.t) args =
   | other -> raise (Runtime_error (Printf.sprintf "%s is not callable" (Value.typeof other)))
 
 (* Cache lookup: a generic binary serves any arguments; a specialized one
-   only its cached tuple. Hits move to the front (LRU), refresh the
-   global-LRU clock, and report the probed index. *)
+   only its cached tuple. The most specific match wins: under the
+   polyvariant policy the generic catch-all coexists with specialized
+   versions and must not shadow them when a recent generic hit moved it to
+   the front of the LRU order. Ties keep the most recently used entry
+   (lowest index). Paper caches never mix specificities (generic code only
+   exists after [clear_compiled]), so there this is the first match in LRU
+   order. Hits move to the front (LRU), refresh the global-LRU clock, and
+   report the probed index. *)
 and cache_find t fs args =
-  let found =
-    match t.cfg.policy with
-    | Policy.Paper ->
-      (* First match in LRU order — byte-for-byte the pre-policy probe.
-         Paper caches never mix specificities (generic code only exists
-         after [clear_compiled]), so order is immaterial there anyway. *)
-      let rec probe i = function
-        | [] -> None
-        | entry :: _ when Policy.matches entry.key args -> Some (i, entry)
-        | _ :: rest -> probe (i + 1) rest
-      in
-      probe 0 fs.compiled
-    | Policy.Polyvariant ->
-      (* Most-specific match: the generic catch-all coexists with
-         specialized versions and must not shadow them when a recent
-         generic hit moved it to the front of the LRU order. Ties keep
-         the most recently used entry (lowest index). *)
-      let best = ref None in
-      List.iteri
-        (fun i entry ->
-          if Policy.matches entry.key args then
-            match !best with
-            | Some (_, b) when Policy.key_rank b.key <= Policy.key_rank entry.key -> ()
-            | _ -> best := Some (i, entry))
-        fs.compiled;
-      !best
-  in
-  match found with
+  let found = ref None in
+  List.iteri
+    (fun i entry ->
+      if Policy.matches entry.key args then
+        match !found with
+        | Some (_, b) when Policy.key_rank b.key <= Policy.key_rank entry.key -> ()
+        | _ -> found := Some (i, entry))
+    fs.compiled;
+  match !found with
   | None -> None
   | Some (i, entry) ->
     fs.compiled <- entry :: List.filter (fun e -> e != entry) fs.compiled;
@@ -1408,15 +1352,10 @@ and run_native_entry t fs func c args entry =
   run_native t fs func act entry ~at_osr:false
 
 and run_native t fs func act entry ~at_osr =
-  let callbacks =
-    { Exec.call = (fun v a -> call_value t v a);
-      globals = t.istate.Interp.globals;
-      cycles = t.native_cycles }
-  in
   let outcome =
     in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
         let o =
-          try Exec.run callbacks entry.code act ~at_osr
+          try Exec.run t.callbacks entry.code act ~at_osr
           with Objmodel.Error msg -> raise (Runtime_error msg)
         in
         (match o with
@@ -1503,15 +1442,9 @@ and interpret t func ~upvals ~args =
   run_frame t frame
 
 and run_frame t frame =
-  let hooks =
-    {
-      Interp.call = (fun callee args -> call_value t callee args);
-      loop_head = (fun fr -> maybe_osr t fr);
-    }
-  in
   in_span t ~name:"interpret" ~cat:"interp" frame.Interp.func.Bytecode.Program.fid
     (fun () ->
-      try Interp.run t.istate hooks frame
+      try Interp.run t.istate t.hooks frame
       with Interp.Runtime_error msg -> raise (Runtime_error msg))
 
 and maybe_osr t (frame : Interp.frame) =
@@ -1701,46 +1634,144 @@ let report_of t result =
     deoptimized_funcs;
   }
 
+(* [make] follows the dispatch functions: the executors' records it builds
+   close over [call_value] and [maybe_osr] for the engine's lifetime;
+   [observe] only swaps their observer fields per run. *)
+let make engine_config program =
+  (* Admission check: the interpreter and the MIR builder both trust the
+     compiler's output, so reject malformed bytecode before running any of
+     it. Raises [Diag.Failed]. *)
+  Bc_verify.check_program program;
+  let tel = Telemetry.create ~nfuncs:(Bytecode.Program.nfuncs program) () in
+  let istate = Interp.make_state ~max_depth:engine_config.max_depth program in
+  let native_cycles = ref 0 in
+  let rec t =
+    {
+      cfg = engine_config;
+      program;
+      istate;
+      fstates =
+        Array.init (Bytecode.Program.nfuncs program) (fun fid ->
+            {
+              fid;
+              loop_edges = 0;
+              compiled = [];
+              no_specialize = false;
+              overflow_bailed = false;
+              observed_tags =
+                Array.make program.Bytecode.Program.funcs.(fid).Bytecode.Program.arity [];
+              stable_args = None;
+              last_args = None;
+              sizes = [];
+              quarantine_until = 0;
+              q_failures = 0;
+              pinned = false;
+              discards = 0;
+              next_version = 0;
+              anticipated = [];
+            });
+      native_cycles;
+      compile_cycles = ref 0;
+      tel;
+      cache_bytes = ref 0;
+      lru_tick = ref 0;
+      depth = ref 0;
+      tracer =
+        (if Telemetry.spans_active tel then
+           Some (Profile.Tracer.create ~emit:(Telemetry.emit_span tel))
+         else None);
+      known_globals =
+        (if engine_config.policy = Policy.Polyvariant then
+           Bytecode.Program.known_global_funcs program
+         else [||]);
+      degrade = ref false;
+      bg =
+        (if engine_config.bg_compile then
+           Some (Bgcompile.create ~depth:engine_config.bg_queue_depth)
+         else None);
+      bg_cycles = ref 0;
+      flow_seq = ref 0;
+      recorder = None;
+      hooks =
+        {
+          Interp.call;
+          loop_head = (fun fr -> maybe_osr t fr);
+          tick = None;
+        };
+      callbacks =
+        {
+          Exec.call;
+          globals = istate.Interp.globals;
+          cycles = native_cycles;
+          charge = None;
+          tick = None;
+        };
+    }
+  and call callee args = call_value t callee args in
+  t
+
 (* Cooperative deadline for one [run]: the budget is relative to the
    clock at entry, so a warm engine serving many requests gets a fresh
-   budget per request. The hooks fire in [Interp]/[Exec] dispatch; the
-   trip emits [Deadline_hit] and bumps the counter exactly once (the
-   raise immediately follows the emit, and the hooks are uninstalled on
-   the way out), then [Deadline_exceeded] unwinds through every open
+   budget per request. The trip fires from the executors' [tick]
+   observers; it emits [Deadline_hit] and bumps the counter exactly once
+   (the raise immediately follows the emit, and the next [run] builds a
+   fresh trip), then [Deadline_exceeded] unwinds through every open
    frame — spans close with [unwound], the depth counter restores via
    [Fun.protect] — and escapes [run] for the caller to classify.
    Compilation is deliberately not checked: a compile returns to
    dispatch within one bounded pipeline run, and the very next
    dispatched instruction observes the (compile-charged) clock. *)
-let with_deadline t f =
-  if t.cfg.deadline <= 0 then f ()
+let deadline_trip t =
+  if t.cfg.deadline <= 0 then None
   else begin
     let start = now t in
     let budget = t.cfg.deadline in
-    let trip fid pc =
-      let spent = now t - start in
-      if spent > budget then begin
-        let fs = t.fstates.(fid) in
-        bump t fs Telemetry.Key.deadlines;
-        emit t (fun () ->
-            Telemetry.Deadline_hit
-              { fid; fname = fname t fid; spent; limit = budget });
-        raise (Deadline_exceeded { dl_fid = fid; dl_pc = pc; dl_spent = spent; dl_limit = budget })
-      end
-    in
-    Interp.with_deadline_hook (Some trip) (fun () ->
-        Exec.with_deadline_hook
-          (Some (fun (code : Code.t) pc -> trip code.Code.fid pc))
-          f)
+    Some
+      (fun fid pc ->
+        let spent = now t - start in
+        if spent > budget then begin
+          let fs = t.fstates.(fid) in
+          bump t fs Telemetry.Key.deadlines;
+          emit t (fun () ->
+              Telemetry.Deadline_hit { fid; fname = fname t fid; spent; limit = budget });
+          raise
+            (Deadline_exceeded { dl_fid = fid; dl_pc = pc; dl_spent = spent; dl_limit = budget })
+        end)
   end
+
+(* The run's observers, decided once at its entry: this domain's profile
+   recorder (if any) and the deadline trip, combined into the executors'
+   records in a fixed order — interpreter: profile, then deadline; native:
+   the charge observer, then deadline, then the opcode tally. A warm
+   engine re-reads them on every [run], so nothing carries over. *)
+let observe t =
+  let r = Profile.current_recorder () in
+  let trip = deadline_trip t in
+  let both f g =
+    match (f, g) with
+    | None, h | h, None -> h
+    | Some f, Some g -> Some (fun a b -> f a b; g a b)
+  in
+  t.recorder <- r;
+  t.hooks <- { t.hooks with Interp.tick = both (Option.map Profile.Recorder.interp_tick r) trip };
+  t.callbacks <-
+    {
+      t.callbacks with
+      Exec.charge = Option.map Profile.Recorder.exec_charge r;
+      tick =
+        both
+          (Option.map (fun trip (code : Code.t) pc -> trip code.Code.fid pc) trip)
+          (Option.map Profile.Recorder.exec_tick r);
+    }
 
 let run t =
   let main = t.program.Bytecode.Program.funcs.(t.program.Bytecode.Program.main) in
+  observe t;
   let result =
     (* Backstop for the depth limit: should MiniJS recursion exhaust the
        OCaml stack before [max_depth] trips (a misconfigured limit), it
        still surfaces as the same MiniJS-level error, not a crash. *)
-    try with_deadline t (fun () -> interpret t main ~upvals:[||] ~args:[||])
+    try interpret t main ~upvals:[||] ~args:[||]
     with Stack_overflow -> raise (Runtime_error "stack overflow")
   in
   report_of t result

@@ -173,27 +173,21 @@ val set_mir_hook : (Mir.func -> unit) option -> unit
 val with_mir_hook : (Mir.func -> unit) -> (unit -> 'a) -> 'a
 (** Run with the MIR hook temporarily installed on this domain. *)
 
-val set_diag_warn_hook : (Diag.t -> unit) option -> unit
-(** Warning sink for the lint layer: when {!Pipeline.checks} is on, the
-    specialization-soundness checker's warnings are delivered here for
-    every compile, synchronous or background, aborted or not (an aborted
-    one delivers those its audits reached), just before the MIR hook;
-    [None] drops them. *)
-
 val with_diag_warn_hook : (Diag.t -> unit) -> (unit -> 'a) -> 'a
-(** Run with the warning sink temporarily installed on this domain. *)
-
-val set_diag_abort_hook : (Diag.t -> unit) option -> unit
-(** Called with every diagnostic that aborts a mid-run compilation — a
-    verifier/lint error or an injected {!Faults} failure — just before the
-    engine recovers (charges the wasted cycles, emits
-    [Telemetry.Compile_abort], quarantines the function and falls back to
-    the interpreter). {!Diag.Failed} never escapes {!run}: this hook is how
-    the lint tooling still observes mid-run IR corruption. [None] drops
-    them. *)
+(** Run with a warning sink installed on this domain. When
+    {!Pipeline.checks} is on, the specialization-soundness checker's
+    warnings are delivered to it for every compile, synchronous or
+    background, aborted or not (an aborted one delivers those its audits
+    reached), just before the MIR hook; without a sink they are dropped. *)
 
 val with_diag_abort_hook : (Diag.t -> unit) -> (unit -> 'a) -> 'a
-(** Run with the abort sink temporarily installed on this domain. *)
+(** Run with an abort sink installed on this domain. It is called with
+    every diagnostic that aborts a mid-run compilation — a verifier/lint
+    error or an injected {!Faults} failure — just before the engine
+    recovers (charges the wasted cycles, emits [Telemetry.Compile_abort],
+    quarantines the function and falls back to the interpreter).
+    {!Diag.Failed} never escapes {!run}: this sink is how the lint tooling
+    still observes mid-run IR corruption. *)
 
 exception Runtime_error of string
 
@@ -273,7 +267,10 @@ val run : t -> report
     run aborts that compilation (quarantining the function) instead of
     escaping — the exceptions [run] raises for a MiniJS-level problem are
     {!Runtime_error} and (with a deadline configured)
-    {!Deadline_exceeded}. *)
+    {!Deadline_exceeded}. At entry it reads this domain's
+    {!Profile.with_recorder} recorder and arms the run's deadline; these
+    observe this run only, so a warm engine carries no observer from one
+    [run] into the next. *)
 
 val run_program : config -> Bytecode.Program.t -> report
 val run_source : config -> string -> report

@@ -103,12 +103,7 @@ let active () = Support.Tls.get current <> None
    assert a plan did more than install itself. *)
 let fired_hook : (point -> unit) option Support.Tls.t = Support.Tls.make (fun () -> None)
 
-let set_fired_hook h = Support.Tls.set fired_hook h
-
-let with_fired_hook h f =
-  let previous = Support.Tls.get fired_hook in
-  Support.Tls.set fired_hook (Some h);
-  Fun.protect ~finally:(fun () -> Support.Tls.set fired_hook previous) f
+let with_fired_hook h f = Support.Tls.with_value fired_hook (Some h) f
 
 let fire point =
   match Support.Tls.get current with

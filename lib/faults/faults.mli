@@ -122,8 +122,6 @@ val with_plan : plan -> (unit -> 'a) -> 'a
     domain-local and consulted only when {!fire} decides to fail an
     occurrence, so the disabled-layer cost is unchanged. *)
 
-val set_fired_hook : (point -> unit) option -> unit
-
 val with_fired_hook : (point -> unit) -> (unit -> 'a) -> 'a
 (** Install a hook for the extent of the callback, restoring the
     previous one on exit (exception-safe). *)

@@ -32,7 +32,7 @@ let run config src =
    a verifier rejection comes back as [Error diag] instead of being folded
    into the captured output as an EXN line. The engine contains mid-run
    compile diagnostics (quarantining the function and interpreting on), so
-   they are collected through [Engine.set_diag_abort_hook]; [Diag.Failed]
+   they are collected through [Engine.with_diag_abort_hook]; [Diag.Failed]
    can now only escape from bytecode admission in [Engine.make]. Either way
    the first diagnostic of the run is the [Error]. *)
 let run_checked config src =

@@ -26,6 +26,7 @@ type state = {
 type hooks = {
   call : Value.t -> Value.t array -> Value.t;
   loop_head : frame -> Value.t option;
+  tick : (int -> int -> unit) option;
 }
 
 let default_max_depth = 10_000
@@ -95,33 +96,10 @@ let construct ctor args = om (fun () -> Objmodel.construct ctor args)
    [run]. *)
 exception Returned of Value.t
 
-(* Cycle-attribution hook for the profiler: fired with (fid, pc) for every
-   interpreted bytecode instruction, exactly where [icount] increments, so
-   per-pc attribution sums to icount. Domain-local and read once per [run];
-   None in production. *)
-let profile_hook : (int -> int -> unit) option Support.Tls.t =
-  Support.Tls.make (fun () -> None)
-
-let set_profile_hook h = Support.Tls.set profile_hook h
-let with_profile_hook h f = Support.Tls.with_value profile_hook h f
-
-(* Cooperative-deadline hook: fired with (fid, pc) at the same dispatch
-   point as the profiler hook. The engine installs a closure that raises
-   once the model-cycle clock passes the run's budget — raising from here
-   is safe because the interpreter holds no state needing unwinding beyond
-   the frame itself. Domain-local, read once per [run]; None in
-   production, where the cost is one match per instruction. *)
-let deadline_hook : (int -> int -> unit) option Support.Tls.t =
-  Support.Tls.make (fun () -> None)
-
-let set_deadline_hook h = Support.Tls.set deadline_hook h
-let with_deadline_hook h f = Support.Tls.with_value deadline_hook h f
-
 let rec run state hooks frame =
   let code = frame.func.Bytecode.Program.code in
   let fid = frame.func.Bytecode.Program.fid in
-  let prof = Support.Tls.get profile_hook in
-  let fuel = Support.Tls.get deadline_hook in
+  let tick = hooks.tick in
   try
     while true do
       (* Code arrays come out of the bytecode compiler, whose emitted jump
@@ -130,8 +108,7 @@ let rec run state hooks frame =
          check. *)
       let instr = Array.unsafe_get code frame.pc in
       state.icount <- state.icount + 1;
-      (match prof with Some hook -> hook fid frame.pc | None -> ());
-      (match fuel with Some hook -> hook fid frame.pc | None -> ());
+      (match tick with Some f -> f fid frame.pc | None -> ());
       let next = frame.pc + 1 in
       (match instr with
     | Bytecode.Instr.Const v ->
@@ -291,7 +268,11 @@ and call_value state hooks callee args =
 
 let default_hooks state =
   let rec hooks =
-    { call = (fun callee args -> call_value state hooks callee args); loop_head = (fun _ -> None) }
+    {
+      call = (fun callee args -> call_value state hooks callee args);
+      loop_head = (fun _ -> None);
+      tick = None;
+    }
   in
   hooks
 

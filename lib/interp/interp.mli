@@ -3,7 +3,8 @@
 
     The interpreter is parameterized by {!hooks} so the JIT engine can
     intercept calls (to run compiled code instead) and loop headers (to
-    trigger on-stack replacement). Bailouts from native code re-enter here
+    trigger on-stack replacement), and observe every dispatched
+    instruction (profiler, deadline). Bailouts from native code re-enter here
     through {!resume}: the engine reconstructs a frame from the guard's
     resume-point snapshot and interpretation continues at the failing
     bytecode. *)
@@ -38,6 +39,13 @@ type hooks = {
   loop_head : frame -> Runtime.Value.t option;
       (** Invoked at every [Loop_head]. Returning [Some v] means the engine
           completed the rest of the frame natively (OSR) with result [v]. *)
+  tick : (int -> int -> unit) option;
+      (** Per-instruction observer, fired as [tick fid pc] exactly where
+          [icount] increments, so per-pc counts sum to [icount]. The engine
+          builds it once per run from the profiler and the deadline (in that
+          order); raising from it (a deadline expiry) unwinds the frame.
+          Read once per {!run}; [None] costs one match per instruction and
+          never alters execution or the cost model. *)
 }
 
 val default_max_depth : int
@@ -58,27 +66,6 @@ val make_frame :
 
 val run : state -> hooks -> frame -> Runtime.Value.t
 (** Execute the frame from its current [pc]/[sp] until it returns. *)
-
-val set_profile_hook : (int -> int -> unit) option -> unit
-(** Install (or clear) the domain-local profiler hook, fired with
-    [(fid, pc)] for every interpreted instruction — exactly once per
-    [icount] increment, so per-pc counts sum to [icount]. The hook is read
-    once per {!run}; it never alters execution or the cost model. *)
-
-val with_profile_hook : (int -> int -> unit) option -> (unit -> 'a) -> 'a
-(** Run a thunk with the profiler hook bound, restoring the previous hook
-    afterwards (exception-safe). *)
-
-val set_deadline_hook : (int -> int -> unit) option -> unit
-(** Install (or clear) the domain-local cooperative-deadline hook, fired
-    with [(fid, pc)] at the same dispatch point as the profiler hook. The
-    engine installs a closure that raises [Engine.Deadline_exceeded] once
-    the run's model-cycle budget is spent; with [None] (production) the
-    per-instruction cost is a single match. Read once per {!run}. *)
-
-val with_deadline_hook : (int -> int -> unit) option -> (unit -> 'a) -> 'a
-(** Run a thunk with the deadline hook bound, restoring the previous hook
-    afterwards (exception-safe). *)
 
 val default_hooks : state -> hooks
 (** Pure-interpretation hooks: calls recurse into the interpreter, loop

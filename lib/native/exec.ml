@@ -23,6 +23,8 @@ type callbacks = {
   call : Value.t -> Value.t array -> Value.t;
   globals : Value.t array;
   cycles : int ref;
+  charge : (Code.t -> int -> int -> unit) option;
+  tick : (Code.t -> int -> unit) option;
 }
 
 let make_activation ?(env = [||]) ?osr ~(func : Bytecode.Program.func) ~args () =
@@ -42,38 +44,6 @@ let make_activation ?(env = [||]) ?osr ~(func : Bytecode.Program.func) ~args () 
   }
 
 exception Bail of int * string  (* snapshot id, reason *)
-
-(* Optional instrumentation: invoked on every executed instruction. Used by
-   the benchmark harness for per-opcode profiles; None in production.
-   Domain-local (a profile closure must not leak into pool workers) and
-   read once per [run], not per instruction. *)
-let trace_hook : (Code.ninstr -> unit) option Support.Tls.t =
-  Support.Tls.make (fun () -> None)
-
-let set_trace_hook h = Support.Tls.set trace_hook h
-
-(* Cycle-attribution hook for the profiler: fired with the executing code,
-   the native pc and the cycle delta at every site that charges [cb.cycles]
-   (per-instruction cost, call overheads, the bailout penalty). The charge
-   itself is untouched — with the hook unset the cycle stream is
-   byte-identical to an unprofiled run. Domain-local, read once per [run]. *)
-let profile_hook : (Code.t -> int -> int -> unit) option Support.Tls.t =
-  Support.Tls.make (fun () -> None)
-
-let set_profile_hook h = Support.Tls.set profile_hook h
-let with_profile_hook h f = Support.Tls.with_value profile_hook h f
-
-(* Cooperative-deadline hook: fired with (code, native pc) per executed
-   instruction, right after the instruction's cycle charge so the budget
-   comparison sees a current clock. Raising from here aborts the native
-   run without evaluating a snapshot — a deadline expiry is not a
-   deoptimization, the request is simply over. Domain-local, read once
-   per [run]; None in production. *)
-let deadline_hook : (Code.t -> int -> unit) option Support.Tls.t =
-  Support.Tls.make (fun () -> None)
-
-let set_deadline_hook h = Support.Tls.set deadline_hook h
-let with_deadline_hook h f = Support.Tls.with_value deadline_hook h f
 
 (* Dispatch-loop exit, same idiom as the interpreter: [Ret] raises instead
    of the loop comparing an option per executed instruction. Never escapes
@@ -103,17 +73,18 @@ let run cb (code : Code.t) act ~at_osr =
          | None -> invalid_arg "Exec.run: code has no OSR entry"
        else 0)
   in
-  let trace = Support.Tls.get trace_hook in
-  let prof = Support.Tls.get profile_hook in
-  let fuel = Support.Tls.get deadline_hook in
-  let note pc n = match prof with Some hook -> hook code pc n | None -> () in
+  (* Every addition to [cb.cycles] goes through [charge], so the observer
+     sees each charge at the native pc that caused it. *)
+  let observe = cb.charge and tick = cb.tick in
+  let charge pc n =
+    cb.cycles := !(cb.cycles) + n;
+    match observe with Some f -> f code pc n | None -> ()
+  in
   try
     while true do
       let instr = Array.unsafe_get code.Code.instrs !pc in
-      cb.cycles := !(cb.cycles) + Cost.instr instr;
-      note !pc (Cost.instr instr);
-      (match fuel with Some hook -> hook code !pc | None -> ());
-      (match trace with Some hook -> hook instr | None -> ());
+      charge !pc (Cost.instr instr);
+      (match tick with Some f -> f code !pc | None -> ());
       (match instr with
        | Code.Jump t -> pc := t
        | Code.Branch (c, t1, t2) ->
@@ -189,18 +160,15 @@ let run cb (code : Code.t) act ~at_osr =
              | Value.Str s -> Some (Value.Int (String.length s))
              | _ -> invalid_arg "Exec.run: strlen on non-string")
            | Code.Call_dyn | Code.Call_known_op _ ->
-             cb.cycles := !(cb.cycles) + Cost.call_overhead;
-             note !pc Cost.call_overhead;
+             charge !pc Cost.call_overhead;
              let callee = arg 0 in
              let actuals = Array.sub args 1 (Array.length args - 1) in
              Some (cb.call callee (Array.map read_src actuals))
            | Code.Call_native_op name ->
-             cb.cycles := !(cb.cycles) + Cost.native_call_overhead;
-             note !pc Cost.native_call_overhead;
+             charge !pc Cost.native_call_overhead;
              Some (Builtins.call name (Array.map read_src args))
            | Code.Method_call_op name ->
-             cb.cycles := !(cb.cycles) + Cost.method_call_overhead;
-             note !pc Cost.method_call_overhead;
+             charge !pc Cost.method_call_overhead;
              let recv = arg 0 in
              let actuals =
                Array.map read_src (Array.sub args 1 (Array.length args - 1))
@@ -250,10 +218,9 @@ let run cb (code : Code.t) act ~at_osr =
   with
   | Returned v -> Finished v
   | Bail (id, reason) ->
-    cb.cycles := !(cb.cycles) + Cost.bailout_penalty;
     (* The penalty is attributed to the guard that failed: [pc] still
        points at the raising instruction. *)
-    note !pc Cost.bailout_penalty;
+    charge !pc Cost.bailout_penalty;
     let s = code.Code.snapshots.(id) in
     let values srcs = Array.map read_src srcs in
     Bailed

@@ -31,39 +31,22 @@ type callbacks = {
       (** engine dispatch for calls made by compiled code *)
   globals : Runtime.Value.t array;  (** the global slot table *)
   cycles : int ref;  (** cycle accumulator, shared with the engine *)
+  charge : (Code.t -> int -> int -> unit) option;
+      (** Cycle-attribution observer, fired as [charge code pc cycles] at
+          every site that adds to [cycles]: per-instruction cost, the three
+          call overheads, and the bailout penalty (charged to the failing
+          guard's pc). [code.origins.(pc)] recovers each charge's
+          provenance. Observation only: with [None] the cycle stream is
+          byte-identical. *)
+  tick : (Code.t -> int -> unit) option;
+      (** Per-instruction observer, fired as [tick code pc] once per
+          executed instruction, right after its charge, so a budget
+          comparison sees a current clock. Raising from here (a deadline
+          expiry) aborts the run without evaluating a snapshot. *)
 }
-
-val set_trace_hook : (Code.ninstr -> unit) option -> unit
-(** Optional per-executed-instruction instrumentation (per-opcode profiles
-    in the benchmark harness). [None] (the default) in normal operation.
-    Domain-local, and sampled once at [run] entry — installing a hook
-    mid-execution does not affect code already running. *)
-
-val set_profile_hook : (Code.t -> int -> int -> unit) option -> unit
-(** Install (or clear) the domain-local cycle-attribution hook, fired as
-    [hook code pc cycles] at every site that charges the cycle accumulator:
-    per-instruction cost, call overheads, and the bailout penalty (charged
-    to the failing guard's pc). The charges themselves are unchanged, so
-    with the hook unset a run is byte-identical to an unprofiled one.
-    Sampled once at [run] entry. [code.origins.(pc)] recovers the
-    provenance of each charge. *)
-
-val with_profile_hook : (Code.t -> int -> int -> unit) option -> (unit -> 'a) -> 'a
-(** Run a thunk with the attribution hook bound, restoring the previous
-    hook afterwards (exception-safe). *)
-
-val set_deadline_hook : (Code.t -> int -> unit) option -> unit
-(** Install (or clear) the domain-local cooperative-deadline hook, fired
-    as [hook code pc] per executed instruction, immediately after its
-    cycle charge (so a budget comparison sees a current clock). The
-    engine's hook raises [Engine.Deadline_exceeded] once the run's
-    model-cycle budget is spent; the raise aborts the native run without
-    evaluating a snapshot. [None] (production) costs one match per
-    instruction. Sampled once at [run] entry. *)
-
-val with_deadline_hook : (Code.t -> int -> unit) option -> (unit -> 'a) -> 'a
-(** Run a thunk with the deadline hook bound, restoring the previous hook
-    afterwards (exception-safe). *)
+(** What the engine hands each activation: one record per engine run,
+    shared by all of the run's activations. {!run} reads the two observers
+    once at entry; [None] costs one match per instruction (or charge). *)
 
 val run : callbacks -> Code.t -> activation -> at_osr:bool -> outcome
 (** Execute allocated code (no virtual registers). [at_osr] starts at the

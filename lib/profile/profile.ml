@@ -5,13 +5,15 @@
    instruction records the bytecode (fid, pc) it derives from and the pass
    that created it ([Mir.origin]); lowering threads those tags into a
    [Code.t.origins] array index-aligned with the native instructions. The
-   [Recorder] installs the executors' observation hooks ([Exec.profile_hook],
-   [Interp.profile_hook]) and folds each charge into a (origin, tier,
-   category) cell; the engine reports its two compile-cycle charges through
-   [note_compile]. None of this alters a single charge: with no recorder
-   installed the hooks are [None] and the cycle stream is byte-identical to
-   an unprofiled run (the [Faults] zero-cost contract). By construction the
-   recorder's total equals the engine report's [total_cycles] exactly. *)
+   engine reads the installed [Recorder] once per run and hands its
+   payloads to the executors as their observers ([Exec.callbacks.charge]
+   and [.tick], [Interp.hooks.tick]); the recorder folds each charge into
+   a (origin, tier, category) cell, and the engine reports its two
+   compile-cycle charges straight to it. None of this alters a single
+   charge: with no recorder installed the observers are [None] and the
+   cycle stream is byte-identical to an unprofiled run (the [Faults]
+   zero-cost contract). By construction the recorder's total equals the
+   engine report's [total_cycles] exactly. *)
 
 (* ------------------------------------------------------------------ *)
 (* Tiers and categories                                                *)
@@ -116,21 +118,26 @@ type cell = { mutable c_cycles : int; mutable c_count : int }
 
 type row = { r_key : key; r_cycles : int; r_count : int }
 
+let bump tbl key cycles =
+  match Hashtbl.find_opt tbl key with
+  | Some c ->
+    c.c_cycles <- c.c_cycles + cycles;
+    c.c_count <- c.c_count + 1
+  | None -> Hashtbl.replace tbl key { c_cycles = cycles; c_count = 1 }
+
 module Recorder = struct
-  type t = { program : Bytecode.Program.t; cells : (key, cell) Hashtbl.t }
+  type t = {
+    program : Bytecode.Program.t;
+    cells : (key, cell) Hashtbl.t;
+    ops : (string, cell) Hashtbl.t;  (* per native opcode, for [op_table] *)
+  }
 
-  let create ~program = { program; cells = Hashtbl.create 256 }
+  let create ~program = { program; cells = Hashtbl.create 256; ops = Hashtbl.create 64 }
+  let note r key cycles = bump r.cells key cycles
 
-  let note r key cycles =
-    match Hashtbl.find_opt r.cells key with
-    | Some c ->
-      c.c_cycles <- c.c_cycles + cycles;
-      c.c_count <- c.c_count + 1
-    | None -> Hashtbl.replace r.cells key { c_cycles = cycles; c_count = 1 }
-
-  (* The executor-side hook: recover provenance from the code's origin
-     array, classify by opcode, bucket by the binary's tier. *)
-  let exec_hook r (code : Code.t) pc cycles =
+  (* The native [charge] observer: recover provenance from the code's
+     origin array, classify by opcode, bucket by the binary's tier. *)
+  let exec_charge r (code : Code.t) pc cycles =
     let org = code.Code.origins.(pc) in
     let tier =
       if code.Code.widened then T_native_widened
@@ -148,10 +155,24 @@ module Recorder = struct
       }
       cycles
 
-  (* The interpreter-side hook: one charge of [Cost.interp_per_instr] per
-     interpreted instruction, classified from the bytecode itself. Summing
-     these reproduces [icount * interp_per_instr] exactly. *)
-  let interp_hook r fid pc =
+  (* The native [tick] observer: one executed instruction and its
+     instruction cost, tallied per opcode. Call overheads and bailout
+     penalties are charges, not instructions, so they are not here. *)
+  let exec_tick r (code : Code.t) pc =
+    let n = code.Code.instrs.(pc) in
+    let op =
+      match n with
+      | Code.Op { op; _ } -> Code.op_to_string op
+      | Code.Jump _ -> "jmp"
+      | Code.Branch _ -> "brt"
+      | Code.Ret _ -> "ret"
+    in
+    bump r.ops op (Cost.instr n)
+
+  (* The interpreter [tick] observer: one charge of [Cost.interp_per_instr]
+     per interpreted instruction, classified from the bytecode itself.
+     Summing these reproduces [icount * interp_per_instr] exactly. *)
+  let interp_tick r fid pc =
     let func = r.program.Bytecode.Program.funcs.(fid) in
     note r
       {
@@ -200,6 +221,12 @@ module Recorder = struct
     Hashtbl.fold
       (fun k c acc -> if k.k_tier = tier then acc + c.c_cycles else acc)
       r.cells 0
+
+  (* Executed native instructions per opcode, descending cycles; ties keep
+     the table's iteration order, which the insertion order fixes. *)
+  let op_rows r =
+    Hashtbl.fold (fun op c acc -> (op, c.c_count, c.c_cycles) :: acc) r.ops []
+    |> List.stable_sort (fun (_, _, a) (_, _, b) -> compare b a)
 
   (* Per-function summary: (fid, total, per-tier, per-category) — category
      totals cover the native tiers only (the guard/ALU/memory split of
@@ -360,6 +387,11 @@ module Recorder = struct
     let rest = List.length summaries - !shown in
     if rest > 0 then Buffer.add_string buf (Printf.sprintf "(+%d more functions)\n" rest);
     Buffer.contents buf
+
+  let op_table r =
+    Support.Table.render ~header:[ "native op"; "executed"; "cycles" ]
+      ~rows:(List.map (fun (op, n, cy) -> [ op; string_of_int n; string_of_int cy ]) (op_rows r))
+      ()
 end
 
 (* ------------------------------------------------------------------ *)
@@ -373,20 +405,10 @@ let recorder_slot : Recorder.t option Support.Tls.t = Support.Tls.make (fun () -
 
 let current_recorder () = Support.Tls.get recorder_slot
 
-(* Engine-side entry point for compile-stage charges: a no-op (no
-   allocation, one TLS read) when no recorder is installed. *)
-let note_compile ~fid ~stage cycles =
-  match Support.Tls.get recorder_slot with
-  | Some r -> Recorder.note_compile r ~fid ~stage cycles
-  | None -> ()
-
-(* Run [f] with [r] recording: installs the recorder and both executor
-   hooks, restoring all three afterwards (exception-safe). *)
-let with_recorder (r : Recorder.t) f =
-  Support.Tls.with_value recorder_slot (Some r) (fun () ->
-      Exec.with_profile_hook
-        (Some (Recorder.exec_hook r))
-        (fun () -> Interp.with_profile_hook (Some (Recorder.interp_hook r)) f))
+(* Run [f] with [r] as this domain's recorder, restoring the previous one
+   afterwards (exception-safe). Engine runs started inside read it once at
+   entry. *)
+let with_recorder (r : Recorder.t) f = Support.Tls.with_value recorder_slot (Some r) f
 
 (* ------------------------------------------------------------------ *)
 (* The span tracer                                                     *)

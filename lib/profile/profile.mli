@@ -1,14 +1,17 @@
 (** Cycle-accounting profiler and lifecycle span tracer.
 
     Attribution rides the origin tags the IRs carry ({!Mir.origin} threaded
-    into {!Code.t.origins} by lowering): the {!Recorder} installs the
-    executors' observation hooks and charges every model cycle to the
-    (function, bytecode pc, producing pass) that caused it, split by
-    execution {!tier} and work {!category}. The {!Tracer} turns engine
-    lifecycle phases into {!Telemetry.span}s on the model-cycle clock.
+    into {!Code.t.origins} by lowering): the {!Recorder} charges every
+    model cycle to the (function, bytecode pc, producing pass) that caused
+    it, split by execution {!tier} and work {!category}. A recorder is
+    installed with {!with_recorder}; the engine reads it once at the entry
+    of each run and passes its payloads to the executors as their
+    observers ([Exec.callbacks] [charge]/[tick], [Interp.hooks] [tick]).
+    The {!Tracer} turns engine lifecycle phases into {!Telemetry.span}s on
+    the model-cycle clock.
 
     Everything here is observation-only: no charge is altered, and with no
-    recorder installed every hook is [None], so a profiled-off run is
+    recorder installed every observer is [None], so a profiled-off run is
     byte-identical to an unprofiled one. By construction the recorder's
     {!Recorder.total_cycles} equals the engine report's [total_cycles]
     exactly. *)
@@ -61,12 +64,17 @@ module Recorder : sig
 
   val create : program:Bytecode.Program.t -> t
 
-  val exec_hook : t -> Code.t -> int -> int -> unit
-  (** The {!Exec.set_profile_hook} payload: classifies a native charge via
-      [code.origins.(pc)] and the opcode. *)
+  val exec_charge : t -> Code.t -> int -> int -> unit
+  (** The native [charge] observer ([Exec.callbacks]): classifies a
+      native charge via [code.origins.(pc)] and the opcode. *)
 
-  val interp_hook : t -> int -> int -> unit
-  (** The {!Interp.set_profile_hook} payload: one
+  val exec_tick : t -> Code.t -> int -> unit
+  (** The native [tick] observer ([Exec.callbacks]): tallies one
+      executed instruction and its {!Cost.instr} under its opcode, for
+      {!op_table}. *)
+
+  val interp_tick : t -> int -> int -> unit
+  (** The interpreter [tick] observer ([Interp.hooks]): one
       [Cost.interp_per_instr] charge per interpreted instruction. *)
 
   val note_compile : t -> fid:int -> stage:string -> int -> unit
@@ -83,6 +91,12 @@ module Recorder : sig
   (** Every cell, key-sorted (deterministic). *)
 
   val tier_cycles : t -> tier -> int
+
+  val op_rows : t -> (string * int * int) list
+  (** The per-opcode native execution profile: [(opcode, executed,
+      cycles)] by descending cycles. [cycles] sums instruction costs only
+      (no call overheads or bailout penalties); empty when no native code
+      ran. *)
 
   type func_summary = {
     fs_fid : int;
@@ -115,18 +129,19 @@ module Recorder : sig
   val table : ?top:int -> t -> string
   (** The [--profile] report: top-N functions by total cycles with
       per-tier columns and the native guard/alu/mem percentage split. *)
+
+  val op_table : t -> string
+  (** {!op_rows} as the [--profile] "native execution profile" table. *)
 end
 
 val current_recorder : unit -> Recorder.t option
 (** This domain's installed recorder, if any. *)
 
-val note_compile : fid:int -> stage:string -> int -> unit
-(** Engine-side entry point for compile-stage charges: forwards to the
-    installed recorder, no-op (one TLS read) when none. *)
-
 val with_recorder : Recorder.t -> (unit -> 'a) -> 'a
-(** Run [f] with [r] recording: installs the recorder plus both executor
-    hooks, restoring all three afterwards (exception-safe). *)
+(** Run [f] with [r] as this domain's recorder, restoring the previous one
+    afterwards (exception-safe). Every engine run started inside reads it
+    once at entry and records into it for that whole run; a run started
+    outside records nothing, even on an engine that was profiled before. *)
 
 (** Begin/end span bookkeeping over the model-cycle clock. The engine opens
     a span entering a lifecycle phase and closes it when the phase ends;

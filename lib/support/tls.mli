@@ -2,9 +2,14 @@
 
     Every piece of cross-run mutable context in the tree — the print hook,
     [Math.random]'s generator, pipeline check mode, telemetry default
-    sinks, fault plans, diagnostic hooks — lives in one of these slots
-    instead of a global [ref], so engine runs fanned out over a
-    {!Parallel.Pool} cannot observe (or clobber) each other's state. Each
+    sinks and trace context, fault plans and the fired-fault hook, the
+    profile recorder, the engine's MIR and diagnostic hooks, the pool
+    participant id — lives in one of these slots instead of a global
+    [ref], so engine runs fanned out over a {!Parallel.Pool} cannot
+    observe (or clobber) each other's state. The executors own no slot:
+    the engine reads the recorder once per run and hands the interpreter
+    and the native executor their observers in the records it passes
+    them. Each
     domain lazily gets its own value from the initializer; nothing is
     inherited from the spawning domain, which is what makes pool tasks
     self-contained: a task that needs a hook installs it itself, usually

@@ -751,7 +751,6 @@ type t = {
 let default_sinks_slot : sink list Support.Tls.t = Support.Tls.make (fun () -> [])
 
 let default_sinks () = Support.Tls.get default_sinks_slot
-let set_default_sinks sinks = Support.Tls.set default_sinks_slot sinks
 
 (* Same mechanism for span consumers (the tracer, --trace-spans). *)
 let default_span_sinks_slot : span_sink list Support.Tls.t =

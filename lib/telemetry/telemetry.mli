@@ -441,8 +441,6 @@ val default_sinks : unit -> sink list
     themselves. Domain-local: sinks close over mutable accumulators, so
     they deliberately do not propagate into pool tasks. *)
 
-val set_default_sinks : sink list -> unit
-
 val with_default_sinks : sink list -> (unit -> 'a) -> 'a
 (** Run [f] with this domain's {!default_sinks} temporarily replaced. *)
 

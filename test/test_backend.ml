@@ -18,6 +18,8 @@ let exec ?(globals = [||]) code ~func ~args =
       Exec.call = (fun _ _ -> Alcotest.fail "unexpected call");
       globals;
       cycles;
+      charge = None;
+      tick = None;
     }
   in
   let act = Exec.make_activation ~func ~args () in
@@ -233,7 +235,10 @@ let prop_three_way_differential =
         | Eval.Bailed _ -> true
       in
       let code, _ = Regalloc.run (Lower.run f) in
-      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0 } in
+      let cb =
+        { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
+          charge = None; tick = None }
+      in
       let act = Exec.make_activation ~func ~args () in
       let native_agrees =
         match Exec.run cb code act ~at_osr:false with
@@ -265,7 +270,10 @@ let prop_native_matches_interp =
       in
       ignore (Pipeline.apply ~program Pipeline.baseline f);
       let code, _ = Regalloc.run (Lower.run f) in
-      let cb = { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0 } in
+      let cb =
+        { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
+          charge = None; tick = None }
+      in
       let act = Exec.make_activation ~func ~args () in
       match Exec.run cb code act ~at_osr:false with
       | Exec.Finished v -> Value.same_value v expected

@@ -111,8 +111,8 @@ let test_off_identical () =
     (fun src ->
       let plain_report, plain_out = run_plain src in
       let _, recorded_report, recorded_out = run_recorded src in
-      (* A second plain run after the profiled one: the hooks were fully
-         uninstalled by [with_recorder]. *)
+      (* A second plain run after the profiled one: [with_recorder]
+         restored the empty slot, so that run observes nothing. *)
       let plain2_report, _ = run_plain src in
       Alcotest.(check int)
         "profiled run charges identical cycles" plain_report.Engine.total_cycles
@@ -122,6 +122,89 @@ let test_off_identical () =
         "hooks fully restored" plain_report.Engine.total_cycles
         plain2_report.Engine.total_cycles)
     [ fib_src; loop_src ]
+
+(* ------------------------------------------------------------------ *)
+(* Observer composition                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One hot loop function whose compiled code makes no calls. The
+   toplevel loop stays under the OSR threshold, so main is never
+   compiled and every native instruction belongs to [work]. *)
+let work_src =
+  "function work(n) { var s = 0; for (var i = 0; i < n; i++) s = s + i; return s; }\n\
+   var t = 0; for (var j = 0; j < 20; j++) t = t + work(50); print(t);"
+
+let quiet f = Runtime.Builtins.with_print_hook ignore f
+
+(* A recorder and a tripping deadline observe the same run: the trip fires
+   once, and everything charged up to it was attributed — in the
+   interpreter and in native code alike. *)
+let test_recorder_with_deadline () =
+  List.iter
+    (fun (tier, cfg) ->
+      let full = (quiet (fun () -> Engine.run_source cfg fib_src)).Engine.total_cycles in
+      let cfg = { cfg with Engine.deadline = full / 2 } in
+      let program = Bytecode.Compile.program_of_source fib_src in
+      let engine = Engine.make cfg program in
+      let ring = Telemetry.Ring.create 65536 in
+      Telemetry.attach (Engine.telemetry engine) (Telemetry.Ring.sink ring);
+      let r = Profile.Recorder.create ~program in
+      (match quiet (fun () -> Profile.with_recorder r (fun () -> Engine.run engine)) with
+      | exception Engine.Deadline_exceeded _ -> ()
+      | _ -> Alcotest.fail "expected Deadline_exceeded");
+      let hits =
+        List.filter
+          (fun e -> Telemetry.event_kind e = "deadline_hit")
+          (Telemetry.Ring.contents ring)
+      in
+      Alcotest.(check int) (tier ^ ": one Deadline_hit") 1 (List.length hits);
+      Alcotest.(check int)
+        (tier ^ ": attributed = clock at the trip")
+        (Engine.clock engine) (Profile.Recorder.total_cycles r))
+    [ ("jit", Engine.default_config ~opt:Pipeline.all_on ()); ("interp", Engine.interp_only) ]
+
+(* On one warm engine a recorder sees exactly the run it wrapped: neither
+   a later unprofiled run nor an earlier one leaks into it. *)
+let test_recorder_per_run () =
+  let cfg = Engine.default_config ~opt:Pipeline.all_on () in
+  let program = Bytecode.Compile.program_of_source fib_src in
+  let profiled engine =
+    let r = Profile.Recorder.create ~program in
+    let before = Engine.clock engine in
+    ignore (quiet (fun () -> Profile.with_recorder r (fun () -> Engine.run engine)));
+    (r, Engine.clock engine - before)
+  in
+  let plain engine = ignore (quiet (fun () -> Engine.run engine)) in
+  let engine = Engine.make cfg program in
+  let r, spent = profiled engine in
+  plain engine;
+  Alcotest.(check int) "first run profiled: its cycles only" spent
+    (Profile.Recorder.total_cycles r);
+  let engine = Engine.make cfg program in
+  plain engine;
+  let r, spent = profiled engine in
+  Alcotest.(check bool) "the warm run charged cycles" true (spent > 0);
+  Alcotest.(check int) "second run profiled: its cycles only" spent
+    (Profile.Recorder.total_cycles r)
+
+(* The per-opcode table counts native instructions only: empty without a
+   JIT, and — for compiled code that neither calls nor bails, so every
+   native charge is an instruction cost — its cycles are the native tier. *)
+let test_op_table () =
+  let r, _, _ = run_recorded ~cfg:Engine.interp_only work_src in
+  Alcotest.(check int) "no native ops without a JIT" 0
+    (List.length (Profile.Recorder.op_rows r));
+  let r, report, _ = run_recorded work_src in
+  let bailouts =
+    List.fold_left (fun acc f -> acc + f.Engine.fr_bailouts) 0 report.Engine.functions
+  in
+  Alcotest.(check int) "no bailouts" 0 bailouts;
+  Alcotest.(check int) "no native call charges" 0
+    (List.assoc Profile.C_call (Profile.Recorder.native_category_cycles r));
+  let rows = Profile.Recorder.op_rows r in
+  Alcotest.(check bool) "native code ran" true (rows <> []);
+  Alcotest.(check int) "op cycles = native cycles" report.Engine.native_cycles
+    (List.fold_left (fun acc (_, _, cycles) -> acc + cycles) 0 rows)
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -280,6 +363,14 @@ let suites =
         Alcotest.test_case "profiling off is cycle- and output-identical" `Quick
           test_off_identical;
         Alcotest.test_case "tracing charges nothing" `Quick test_spans_off_identical;
+      ] );
+    ( "profile.observers",
+      [
+        Alcotest.test_case "recorder and deadline share a run" `Quick
+          test_recorder_with_deadline;
+        Alcotest.test_case "recorder sees only the run it wrapped" `Quick
+          test_recorder_per_run;
+        Alcotest.test_case "per-opcode table is the native tier" `Quick test_op_table;
       ] );
     ( "profile.spans",
       [
