@@ -82,6 +82,7 @@ let with_diag_abort_hook h f = Support.Tls.with_value diag_abort_hook (Some h) f
 
 type compiled = {
   code : Code.t;
+  prog : Exec.program;  (* [code], loaded once at the landing *)
   (* What calls this version may serve: the burned-in argument tuple (plus
      the selective mask), a widened tag signature, or anything (generic).
      The probe ([Policy.matches]) is the soundness contract every
@@ -631,9 +632,10 @@ let note_widen t fs w =
    or the harvest). Warnings and the optimized graph are delivered for
    aborted compiles too. An abort is reported ([diag_abort_hook],
    [Compile_abort]) and answered with a quarantine; the caller falls back
-   to the interpreter. A success stamps its version, bumps the compile
-   counters and becomes an uninstalled cache entry; admission is the
-   caller's. *)
+   to the interpreter. A success stamps its version, is loaded for the
+   executor (once per binary: every call it serves reuses the load),
+   bumps the compile counters and becomes an uninstalled cache entry;
+   admission is the caller's. *)
 let landing t fs (r : Jit.request) (o : Jit.outcome) =
   let name = fname t fs.fid in
   let specialized = Jit.specialized r.Jit.key in
@@ -674,6 +676,7 @@ let landing t fs (r : Jit.request) (o : Jit.outcome) =
       fs.next_version <- fs.next_version + 1;
       code.Code.version <- fs.next_version
     end;
+    let prog = Exec.load code in
     let stats = Option.get o.Jit.stats in
     bump t fs Telemetry.Key.compiles;
     if !(t.degrade) then bump t fs Telemetry.Key.compiles_degraded;
@@ -703,7 +706,7 @@ let landing t fs (r : Jit.request) (o : Jit.outcome) =
         stats.Pipeline.elisions
     end;
     fs.sizes <- (specialized, Code.size code) :: fs.sizes;
-    Some { code; key = r.Jit.key; strikes = 0; last_use = 0 }
+    Some { code; prog; key = r.Jit.key; strikes = 0; last_use = 0 }
 
 (* A compile-stage charge, for the run's recorder. *)
 let note_compile t fs stage cycles =
@@ -1225,16 +1228,20 @@ and cache_find t fs args =
   match !found with
   | None -> None
   | Some (i, entry) ->
-    fs.compiled <- entry :: List.filter (fun e -> e != entry) fs.compiled;
+    if i > 0 then fs.compiled <- entry :: List.filter (fun e -> e != entry) fs.compiled;
     touch t entry;
     Some (i, entry)
 
 and call_closure t (c : Value.closure) args =
   if !(t.depth) >= t.cfg.max_depth then raise (Runtime_error "stack overflow");
   t.depth := !(t.depth) + 1;
-  Fun.protect
-    ~finally:(fun () -> t.depth := !(t.depth) - 1)
-    (fun () -> call_closure_at_depth t c args)
+  match call_closure_at_depth t c args with
+  | v ->
+    t.depth := !(t.depth) - 1;
+    v
+  | exception e ->
+    t.depth := !(t.depth) - 1;
+    raise e
 
 and call_closure_at_depth t (c : Value.closure) args =
   let fs = t.fstates.(c.Value.fid) in
@@ -1355,7 +1362,7 @@ and run_native t fs func act entry ~at_osr =
   let outcome =
     in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
         let o =
-          try Exec.run t.callbacks entry.code act ~at_osr
+          try Exec.run t.callbacks entry.prog act ~at_osr
           with Objmodel.Error msg -> raise (Runtime_error msg)
         in
         (match o with
@@ -1716,9 +1723,9 @@ let make engine_config program =
    observers; it emits [Deadline_hit] and bumps the counter exactly once
    (the raise immediately follows the emit, and the next [run] builds a
    fresh trip), then [Deadline_exceeded] unwinds through every open
-   frame — spans close with [unwound], the depth counter restores via
-   [Fun.protect] — and escapes [run] for the caller to classify.
-   Compilation is deliberately not checked: a compile returns to
+   frame — spans close with [unwound], the depth counter restores in
+   [call_closure]'s exception arm — and escapes [run] for the caller to
+   classify. Compilation is deliberately not checked: a compile returns to
    dispatch within one bounded pipeline run, and the very next
    dispatched instruction observes the (compile-charged) clock. *)
 let deadline_trip t =

@@ -1,4 +1,6 @@
 let num_registers = 12
+let reg_srcs = Array.init num_registers (fun r -> Code.L (Code.R r))
+let reg_dsts = Array.init num_registers (fun r -> Some (Code.R r))
 
 module Int_set = Set.Make (Int)
 
@@ -188,9 +190,20 @@ let run (code : Code.t) =
       | None -> Code.R 0 (* defined but never used nor live: park in r0 *))
     | other -> other
   in
-  let map_src = function Code.L l -> Code.L (map_loc l) | imm -> imm in
+  (* One operand node per location, shared by every instruction and
+     snapshot that names it: engines keep their binaries warm, so the
+     nodes are retained memory. *)
+  let slot_srcs = Array.init !next_slot (fun s -> Code.L (Code.S s)) in
+  let slot_dsts = Array.init !next_slot (fun s -> Some (Code.S s)) in
+  let share regs slots = function
+    | Code.R r -> regs.(r)
+    | Code.S s -> slots.(s)
+    | Code.V _ -> assert false (* [map_loc] never returns one *)
+  in
+  let map_src = function Code.L l -> share reg_srcs slot_srcs (map_loc l) | imm -> imm in
+  let map_dst = function Some l -> share reg_dsts slot_dsts (map_loc l) | None -> None in
   let map_instr (i : Code.instr) =
-    { i with Code.dst = Option.map map_loc i.Code.dst; args = Array.map map_src i.Code.args }
+    { i with Code.dst = map_dst i.Code.dst; args = Array.map map_src i.Code.args }
   in
   let instrs =
     Array.map

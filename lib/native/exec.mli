@@ -1,5 +1,7 @@
 (** The native-code executor: a register machine over {!Code.t} with the
-    cycle accounting of {!Cost}.
+    cycle accounting of {!Cost}, direct-threaded. {!load} turns a binary
+    into one step closure per instruction once, when the engine installs
+    it; {!run} then only calls steps.
 
     Executing compiled code either finishes with the function's return
     value or bails out: a failing guard evaluates its snapshot into the
@@ -46,12 +48,31 @@ type callbacks = {
 }
 (** What the engine hands each activation: one record per engine run,
     shared by all of the run's activations. {!run} reads the two observers
-    once at entry; [None] costs one match per instruction (or charge). *)
+    once at entry to pick its dispatch loop. *)
 
-val run : callbacks -> Code.t -> activation -> at_osr:bool -> outcome
-(** Execute allocated code (no virtual registers). [at_osr] starts at the
-    code's OSR offset. @raise Runtime.Objmodel.Error for genuine JS type
-    errors (same as the interpreter). *)
+type program
+(** A loaded binary. {!load} resolves every operand to an index into one
+    per-activation location array — registers, then spill slots, then
+    the binary's immediates — precomputes {!Cost.instr} per pc, and builds
+    one step closure per instruction that executes it and returns the
+    next pc. Steps capture only indices, their op's payload and their
+    snapshot id; snapshots are read from the {!Code.t} at bail time. *)
+
+val load : Code.t -> program
+(** Load allocated code, once per binary. @raise Invalid_argument on an
+    unallocated ([V]) or out-of-range operand. Every other malformation (a
+    guard without a snapshot, a missing OSR entry, an element access on
+    the wrong kind) still raises at run time, when it executes. *)
+
+val run : callbacks -> program -> activation -> at_osr:bool -> outcome
+(** Execute a loaded binary. [at_osr] starts at the code's OSR offset.
+    With [charge] and [tick] both [None] the plain loop runs: add the
+    instruction's cost, call its step. Otherwise the observed loop runs:
+    charge (firing [charge]), fire [tick], call the step — the same cycle
+    stream and the same observer order either way. Call overheads are
+    charged inside the call's step, the bailout penalty at the failing
+    guard's pc. @raise Runtime.Objmodel.Error for genuine JS type errors
+    (same as the interpreter). *)
 
 val make_activation :
   ?env:Runtime.Value.t ref array ->

@@ -24,7 +24,7 @@ let exec ?(globals = [||]) code ~func ~args =
   in
   let act = Exec.make_activation ~func ~args () in
   (* Bind before pairing: tuple components evaluate right to left. *)
-  let outcome = Exec.run cb code act ~at_osr:false in
+  let outcome = Exec.run cb (Exec.load code) act ~at_osr:false in
   (outcome, !cycles)
 
 let value = Alcotest.testable Value.pp Value.same_value
@@ -241,7 +241,7 @@ let prop_three_way_differential =
       in
       let act = Exec.make_activation ~func ~args () in
       let native_agrees =
-        match Exec.run cb code act ~at_osr:false with
+        match Exec.run cb (Exec.load code) act ~at_osr:false with
         | Exec.Finished v -> Value.same_value v expected
         | Exec.Bailed _ -> true
       in
@@ -275,9 +275,181 @@ let prop_native_matches_interp =
           charge = None; tick = None }
       in
       let act = Exec.make_activation ~func ~args () in
-      match Exec.run cb code act ~at_osr:false with
+      match Exec.run cb (Exec.load code) act ~at_osr:false with
       | Exec.Finished v -> Value.same_value v expected
       | Exec.Bailed _ -> true (* overflow guards may fire; resume is engine-level *))
+
+(* --- the loaded executor --- *)
+
+let origin = { Mir.o_fid = 1; o_pc = 0; o_def = 0; o_pass = "test" }
+
+let hand_code ?(nslots = 0) ?(snapshots = [||]) instrs =
+  {
+    Code.fid = 1;
+    instrs;
+    origins = Array.map (fun _ -> origin) instrs;
+    snapshots;
+    nslots;
+    osr_offset = None;
+    specialized = false;
+    widened = false;
+    version = 0;
+  }
+
+let one_arg_func =
+  let program = Bytecode.Compile.program_of_source "function f(x) { return x; }" in
+  program.Bytecode.Program.funcs.(1)
+
+(* A failing guard's snapshot is read when the guard fails: an immediate
+   comes from the snapshot itself, a register and a spill slot from the
+   activation's current values. *)
+let test_bail_rebuilds_snapshot () =
+  let code =
+    hand_code ~nslots:1
+      ~snapshots:
+        [|
+          {
+            Code.sn_pc = 3;
+            sn_args = [| Code.L (Code.R 0) |];
+            sn_locals = [| Code.Imm (Value.Str "k"); Code.L (Code.S 0) |];
+            sn_stack = [| Code.L (Code.R 0) |];
+          };
+        |]
+      [|
+        Code.Op { dst = Some (Code.R 0); op = Code.Param 0; args = [||]; snap = None };
+        Code.Op
+          { dst = Some (Code.S 0); op = Code.Move; args = [| Code.Imm (Value.Int 7) |];
+            snap = None };
+        Code.Op
+          { dst = Some (Code.R 1); op = Code.Guard_type Value.Tag_int;
+            args = [| Code.L (Code.R 0) |]; snap = Some 0 };
+        Code.Ret (Code.L (Code.R 1));
+      |]
+  in
+  let ok, _ = exec code ~func:one_arg_func ~args:[| Value.Int 4 |] in
+  check_finished "guard passes" (Value.Int 4) ok;
+  match exec code ~func:one_arg_func ~args:[| Value.Str "x" |] with
+  | Exec.Bailed b, cycles ->
+    let values = Alcotest.(array value) in
+    Alcotest.(check int) "bytecode pc" 3 b.Exec.bo_pc;
+    Alcotest.(check int) "native pc" 2 b.Exec.bo_native_pc;
+    Alcotest.check values "args" [| Value.Str "x" |] b.Exec.bo_args;
+    Alcotest.check values "locals: immediate, spill slot" [| Value.Str "k"; Value.Int 7 |]
+      b.Exec.bo_locals;
+    Alcotest.check values "stack: register" [| Value.Str "x" |] b.Exec.bo_stack;
+    let instrs = Array.sub code.Code.instrs 0 3 in
+    Alcotest.(check int) "three instructions and the penalty"
+      (Array.fold_left (fun n i -> n + Cost.instr i) Cost.bailout_penalty instrs)
+      cycles
+  | Exec.Finished _, _ -> Alcotest.fail "expected a type-barrier bailout"
+
+(* [load] rejects unallocated operands; a guard without a snapshot is
+   only an error when it fails. *)
+let test_load_rejects_virtual_registers () =
+  let code =
+    hand_code
+      [|
+        Code.Op { dst = Some (Code.R 0); op = Code.Move; args = [| Code.L (Code.V 3) |]; snap = None };
+        Code.Ret (Code.L (Code.R 0));
+      |]
+  in
+  match Exec.load code with
+  | _ -> Alcotest.fail "load accepted a virtual register"
+  | exception Invalid_argument _ -> ()
+
+let test_snapshotless_guard_fails_at_run () =
+  let code =
+    hand_code
+      [|
+        Code.Op { dst = Some (Code.R 0); op = Code.Param 0; args = [||]; snap = None };
+        Code.Op
+          { dst = Some (Code.R 1); op = Code.Guard_type Value.Tag_int;
+            args = [| Code.L (Code.R 0) |]; snap = None };
+        Code.Ret (Code.L (Code.R 1));
+      |]
+  in
+  let ok, _ = exec code ~func:one_arg_func ~args:[| Value.Int 4 |] in
+  check_finished "passing guard" (Value.Int 4) ok;
+  match exec code ~func:one_arg_func ~args:[| Value.Str "x" |] with
+  | _ -> Alcotest.fail "a failing snapshot-less guard must raise"
+  | exception Invalid_argument _ -> ()
+
+let member_source name =
+  let m =
+    List.find_map
+      (fun (s : Suite.t) ->
+        List.find_opt (fun (m : Suite.member) -> m.Suite.m_name = name) s.Suite.members)
+      Suites.all
+  in
+  (Option.get m).Suite.m_source
+
+(* One member on a fresh engine under the suite configuration: printed
+   output, report and every counter row. *)
+let run_member ?recorder name =
+  let program = Bytecode.Compile.program_of_source (member_source name) in
+  let buf = Buffer.create 256 in
+  Builtins.with_print_hook
+    (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n')
+    (fun () ->
+      let engine = Engine.make (Engine.default_config ~opt:Pipeline.all_on ()) program in
+      let report =
+        match recorder with
+        | Some make -> Profile.with_recorder (make program) (fun () -> Engine.run engine)
+        | None -> Engine.run engine
+      in
+      let rows = Telemetry.Counters.rows (Telemetry.counters (Engine.telemetry engine)) in
+      (Buffer.contents buf, report, rows))
+
+let parity_members =
+  [ "richards"; "access-fannkuch"; "crypto"; "earley-boyer"; "deltablue"; "navier-stokes" ]
+
+let guard_plan = Faults.make ~seed:1 [ (Faults.Exec_guard, Faults.Every 7) ]
+
+(* The observed loop (a recorder installed) and the plain loop (nothing
+   observes) are one executor: same output, same cycles, same counters —
+   also when every seventh passing guard is forced to bail. *)
+let test_loop_parity () =
+  let row name rows = Option.value (List.assoc_opt name rows) ~default:0 in
+  let observed program = Profile.Recorder.create ~program in
+  let parity label run =
+    let out_p, rep_p, rows_p = run None in
+    let out_o, rep_o, rows_o = run (Some observed) in
+    Alcotest.(check string) (label ^ ": output") out_p out_o;
+    Alcotest.(check int) (label ^ ": native cycles") rep_p.Engine.native_cycles
+      rep_o.Engine.native_cycles;
+    Alcotest.(check int) (label ^ ": total cycles") rep_p.Engine.total_cycles
+      rep_o.Engine.total_cycles;
+    Alcotest.(check (list (pair string int))) (label ^ ": counters") rows_p rows_o;
+    rows_p
+  in
+  List.iter
+    (fun name ->
+      let rows = parity name (fun recorder -> run_member ?recorder name) in
+      Alcotest.(check bool) (name ^ ": compiles") true (row Telemetry.Key.compiles rows > 0);
+      Alcotest.(check bool) (name ^ ": enters through OSR") true
+        (row Telemetry.Key.osr_entries rows > 0);
+      let rows =
+        parity (name ^ " under faults") (fun recorder ->
+            Faults.with_plan guard_plan (fun () -> run_member ?recorder name))
+      in
+      Alcotest.(check bool) (name ^ ": bails") true (row Telemetry.Key.bailouts rows > 0))
+    parity_members
+
+(* The chaos layer draws once per passing guard with a snapshot. Pinned
+   figures: every seventh draw fires on crypto under the suite
+   configuration. *)
+let test_exec_guard_draws_pinned () =
+  let fired = ref 0 in
+  let out, _, rows =
+    Faults.with_fired_hook
+      (fun p -> if p = Faults.Exec_guard then incr fired)
+      (fun () -> Faults.with_plan guard_plan (fun () -> run_member "crypto"))
+  in
+  let clean, _, _ = run_member "crypto" in
+  Alcotest.(check string) "output unchanged" clean out;
+  Alcotest.(check int) "exec_guard faults fired" 47 !fired;
+  Alcotest.(check int) "bailouts" 47
+    (Option.value (List.assoc_opt Telemetry.Key.bailouts rows) ~default:0)
 
 let suites =
   [
@@ -301,6 +473,13 @@ let suites =
           test_exec_bounds_check_bails_with_state;
         Alcotest.test_case "overflow bails" `Quick test_exec_overflow_bails;
         Alcotest.test_case "globals" `Quick test_exec_globals;
+        Alcotest.test_case "bail rebuilds its snapshot" `Quick test_bail_rebuilds_snapshot;
+        Alcotest.test_case "load rejects virtual registers" `Quick
+          test_load_rejects_virtual_registers;
+        Alcotest.test_case "snapshot-less guard fails at run" `Quick
+          test_snapshotless_guard_fails_at_run;
+        Alcotest.test_case "plain and observed loops agree" `Quick test_loop_parity;
+        Alcotest.test_case "exec_guard draws pinned" `Quick test_exec_guard_draws_pinned;
         QCheck_alcotest.to_alcotest prop_native_matches_interp;
         QCheck_alcotest.to_alcotest prop_three_way_differential;
       ] );

@@ -18,7 +18,7 @@ let exec code ~func ~args =
       charge = None; tick = None }
   in
   let act = Exec.make_activation ~func ~args () in
-  Exec.run cb code act ~at_osr:false
+  Exec.run cb (Exec.load code) act ~at_osr:false
 
 let value = Alcotest.testable Value.pp Value.same_value
 
@@ -115,7 +115,7 @@ let test_entry_offset_is_zero_with_osr () =
         act_osr_locals = [| Value.Int 5; Value.Int 10 |];
       }
     in
-    match Exec.run cb code act ~at_osr with
+    match Exec.run cb (Exec.load code) act ~at_osr with
     | Exec.Finished v -> v
     | Exec.Bailed b -> Alcotest.failf "bailed: %s" b.Exec.bo_reason
   in

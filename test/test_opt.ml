@@ -299,7 +299,7 @@ let test_unroll_constant_trip_loop () =
       charge = None; tick = None }
   in
   let act = Exec.make_activation ~func ~args:[| arr; Value.Int 5 |] () in
-  (match Exec.run cb code act ~at_osr:false with
+  (match Exec.run cb (Exec.load code) act ~at_osr:false with
   | Exec.Finished v -> Alcotest.(check bool) "sum" true (Value.same_value v (Value.Int 30))
   | Exec.Bailed b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason)
 
@@ -318,7 +318,7 @@ let test_unroll_zero_trip_loop () =
       charge = None; tick = None }
   in
   let act = Exec.make_activation ~func ~args:[| Value.Int 0 |] () in
-  match Exec.run cb code act ~at_osr:false with
+  match Exec.run cb (Exec.load code) act ~at_osr:false with
   | Exec.Finished v -> Alcotest.(check bool) "initial value" true (Value.same_value v (Value.Int 7))
   | Exec.Bailed b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason
 
@@ -637,7 +637,7 @@ print(map(new Array(1, 2, 3, 4, 5), 2, 5, inc));
       globals = [||]; cycles = ref 0; charge = None; tick = None }
   in
   let act = Exec.make_activation ~func:map_fn ~args:spec_args () in
-  (match Exec.run cb code act ~at_osr:false with
+  (match Exec.run cb (Exec.load code) act ~at_osr:false with
   | Exec.Finished (Value.Arr a) ->
     Alcotest.(check (list int)) "array mutated in place" [ 1; 2; 4; 5; 6 ]
       (List.init a.Value.length (fun i ->
