@@ -26,6 +26,9 @@ dune build @absint
 echo "== dune build @policy (specialization-policy census golden) =="
 dune build @policy
 
+echo "== dune build @stats (counter-registry golden) =="
+dune build @stats
+
 echo "== dune build @chaos (fault-injection fuzz smoke) =="
 dune build @chaos
 
