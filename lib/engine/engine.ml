@@ -110,7 +110,12 @@ type func_state = {
   (* Per-arg value stability: [Some v] while every call so far passed the
      same value, [None] once it varied (sticky). Empty before any call. *)
   mutable stable_args : Value.t option array option;
-  mutable last_args : Value.t array option;  (* for §2 argument statistics *)
+  (* The previous call's arguments, for §2 argument statistics: a copy in
+     engine-owned storage, [last_args.(0 .. nlast - 1)] ([nlast < 0]
+     before the first call). Never the caller's array, which an
+     interpreted frame goes on to mutate through [Set_arg]. *)
+  mutable last_args : Value.t array;
+  mutable nlast : int;
   mutable sizes : (bool * int) list;
   (* Failure-domain state. Compilation failures (aborted compiles, cache
      admission failures, deopt storms) quarantine the function: no compile
@@ -199,6 +204,15 @@ type t = {
   mutable recorder : Profile.Recorder.t option;
   mutable hooks : Interp.hooks;
   mutable callbacks : Exec.callbacks;
+  mutable call_cells : call_cells option;  (* resolved at first use *)
+}
+
+(* The counter cells every call bumps or reads, resolved in the hub's
+   registry once per engine so the call path never hashes a name. *)
+and call_cells = {
+  c_calls : Telemetry.Counters.cell;
+  c_arg_set_changes : Telemetry.Counters.cell;
+  c_cache_hits : Telemetry.Counters.cell;
 }
 
 type func_report = {
@@ -314,14 +328,35 @@ let in_span t ~name ~cat ?end_args fid f =
       span_end ~args:[ ("unwound", "true") ] t;
       raise e)
 
-(* Event payloads are only constructed when a sink is listening; counters
-   are always maintained (they are the report's source of truth). Neither
+(* Event payloads are only constructed when a sink is listening: every
+   emission is written [if listening t then emit t (Event ...)], so with no
+   sink neither the event nor a thunk for it is allocated. Counters are
+   always maintained (they are the report's source of truth). Neither
    charges model cycles, so telemetry cannot perturb the measurements. *)
-let emit t mk = if Telemetry.active t.tel then Telemetry.emit t.tel (mk ())
+let listening t = Telemetry.active t.tel
+let emit t ev = Telemetry.emit t.tel ev
 
 let bump ?n t fs key = Telemetry.Counters.bump ?n (counters t) ~fid:fs.fid key
 
 let count t fs key = Telemetry.Counters.get (counters t) ~fid:fs.fid key
+
+let call_cells t =
+  match t.call_cells with
+  | Some c -> c
+  | None ->
+    let cell = Telemetry.Counters.cell (counters t) in
+    let c =
+      {
+        c_calls = cell Telemetry.Key.calls;
+        c_arg_set_changes = cell Telemetry.Key.arg_set_changes;
+        c_cache_hits = cell Telemetry.Key.cache_hits;
+      }
+    in
+    t.call_cells <- Some c;
+    c
+
+(* [count t fs Key.calls], from the cell. *)
+let calls t fs = Telemetry.Counters.cell_get (call_cells t).c_calls ~fid:fs.fid
 
 let display_args args =
   String.concat ", " (Array.to_list (Array.map Value.to_display_string args))
@@ -331,7 +366,8 @@ let blacklist t fs =
   if not fs.no_specialize then begin
     fs.no_specialize <- true;
     bump t fs Telemetry.Key.blacklists;
-    emit t (fun () -> Telemetry.Blacklist { fid = fs.fid; fname = fname t fs.fid })
+    if listening t then
+      emit t (Telemetry.Blacklist { fid = fs.fid; fname = fname t fs.fid })
   end
 
 (* A §4 deoptimization event: a specialized binary was invalidated (cache
@@ -339,36 +375,54 @@ let blacklist t fs =
    only refresh the binary. *)
 let deopt t fs reason =
   bump t fs Telemetry.Key.deopts;
-  emit t (fun () -> Telemetry.Deopt { fid = fs.fid; fname = fname t fs.fid; reason })
+  if listening t then
+    emit t (Telemetry.Deopt { fid = fs.fid; fname = fname t fs.fid; reason })
 
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let rec mem_tag (tag : Value.tag) = function
+  | [] -> false
+  | x :: rest -> x == tag || mem_tag tag rest
+
+(* Whether [args] repeats the previous call's arguments. *)
+let same_as_last fs args =
+  let n = Array.length args in
+  fs.nlast = n
+  &&
+  let i = ref 0 in
+  while !i < n && Value.same_value fs.last_args.(!i) args.(!i) do
+    incr i
+  done;
+  !i = n
+
+(* Per-call profiling: loops over the arguments, no closures; a call that
+   repeats its predecessor's arguments allocates nothing. *)
 let observe_args t fs args =
-  Array.iteri
-    (fun i v ->
-      if i < Array.length fs.observed_tags then begin
-        let tag = Value.tag_of v in
-        if not (List.mem tag fs.observed_tags.(i)) then
-          fs.observed_tags.(i) <- tag :: fs.observed_tags.(i)
-      end)
-    args;
+  let n = Array.length args in
+  let tags = fs.observed_tags in
+  for i = 0 to min n (Array.length tags) - 1 do
+    let tag = Value.tag_of args.(i) in
+    if not (mem_tag tag tags.(i)) then tags.(i) <- tag :: tags.(i)
+  done;
   (match fs.stable_args with
   | None -> fs.stable_args <- Some (Array.map (fun v -> Some v) args)
   | Some st ->
-    Array.iteri
-      (fun i v ->
-        if i < Array.length st then
-          match st.(i) with
-          | Some prev when not (Value.same_value prev v) -> st.(i) <- None
-          | _ -> ())
-      args);
-  (match fs.last_args with
-  | Some prev when Value.same_args prev args -> ()
-  | Some _ -> bump t fs Telemetry.Key.arg_set_changes
-  | None -> ());
-  fs.last_args <- Some args
+    for i = 0 to min n (Array.length st) - 1 do
+      match st.(i) with
+      | Some prev when not (Value.same_value prev args.(i)) -> st.(i) <- None
+      | Some _ | None -> ()
+    done);
+  if not (same_as_last fs args) then begin
+    if fs.nlast >= 0 then
+      Telemetry.Counters.bump_cell (call_cells t).c_arg_set_changes ~fid:fs.fid;
+    if Array.length fs.last_args < n then fs.last_args <- Array.make n Value.Undefined;
+    for i = 0 to n - 1 do
+      fs.last_args.(i) <- args.(i)
+    done;
+    fs.nlast <- n
+  end
 
 let stable_tags fs =
   Array.map
@@ -443,8 +497,9 @@ let policy_view t fs =
     Policy.pv_cache_size = t.cfg.cache_size;
     pv_selective = t.cfg.selective;
     pv_want_specialize = want_specialize t fs;
-    pv_calls = count t fs Telemetry.Key.calls;
-    pv_arg_set_changes = count t fs Telemetry.Key.arg_set_changes;
+    pv_calls = calls t fs;
+    pv_arg_set_changes =
+      Telemetry.Counters.cell_get (call_cells t).c_arg_set_changes ~fid:fs.fid;
     pv_keys = List.map (fun e -> e.key) fs.compiled;
     pv_anticipated = fs.anticipated;
   }
@@ -465,25 +520,26 @@ let quarantine t fs reason =
     if not fs.pinned then begin
       fs.pinned <- true;
       bump t fs Telemetry.Key.pins;
-      emit t (fun () ->
-          Telemetry.Quarantine
-            { fid = fs.fid; fname = fname t fs.fid; reason; backoff_calls = 0;
-              permanent = true })
+      if listening t then
+        emit t
+          (Telemetry.Quarantine
+             { fid = fs.fid; fname = fname t fs.fid; reason; backoff_calls = 0;
+               permanent = true })
     end
   end
   else begin
     let backoff = t.cfg.hot_calls * (1 lsl min fs.q_failures 16) in
-    fs.quarantine_until <- count t fs Telemetry.Key.calls + backoff;
+    fs.quarantine_until <- calls t fs + backoff;
     fs.loop_edges <- 0;
     bump t fs Telemetry.Key.quarantines;
-    emit t (fun () ->
-        Telemetry.Quarantine
-          { fid = fs.fid; fname = fname t fs.fid; reason; backoff_calls = backoff;
-            permanent = false })
+    if listening t then
+      emit t
+        (Telemetry.Quarantine
+           { fid = fs.fid; fname = fname t fs.fid; reason; backoff_calls = backoff;
+             permanent = false })
   end
 
-let can_compile t fs =
-  (not fs.pinned) && count t fs Telemetry.Key.calls >= fs.quarantine_until
+let can_compile t fs = (not fs.pinned) && calls t fs >= fs.quarantine_until
 
 (* Deopt-storm detector: a function oscillating compile→bailout→discard
    burns compile cycles without settling. [storm_threshold] binary
@@ -545,10 +601,11 @@ let evict_for t need =
         let bytes = entry_bytes e in
         detach t owner e;
         bump t owner Telemetry.Key.cache_evictions;
-        emit t (fun () ->
-            Telemetry.Cache_evict
-              { fid = owner.fid; fname = fname t owner.fid; bytes;
-                in_use = !(t.cache_bytes) });
+        if listening t then
+          emit t
+            (Telemetry.Cache_evict
+               { fid = owner.fid; fname = fname t owner.fid; bytes;
+                 in_use = !(t.cache_bytes) });
         go ()
   in
   go ()
@@ -622,10 +679,11 @@ let deliver_warnings (o : Jit.outcome) =
 (* One polyvariant ladder step taken: its victim left the cache. *)
 let note_widen t fs w =
   bump t fs Telemetry.Key.versions_widened;
-  emit t (fun () ->
-      Telemetry.Version_widen
-        { fid = fs.fid; fname = fname t fs.fid; index = w.w_index; from_key = w.w_from;
-          to_key = w.w_to; entries = w.w_entries })
+  if listening t then
+    emit t
+      (Telemetry.Version_widen
+         { fid = fs.fid; fname = fname t fs.fid; index = w.w_index; from_key = w.w_from;
+           to_key = w.w_to; entries = w.w_entries })
 
 (* The one landing for a compile outcome, whichever mode ran it, at the
    model-clock instant the engine takes the result (the barrier's return
@@ -655,16 +713,17 @@ let landing t fs (r : Jit.request) (o : Jit.outcome) =
   | Error d ->
     bump t fs Telemetry.Key.compiles_aborted;
     (match Support.Tls.get diag_abort_hook with Some h -> h d | None -> ());
-    emit t (fun () ->
-        Telemetry.Compile_abort
-          {
-            fid = fs.fid;
-            fname = name;
-            specialized;
-            osr = r.Jit.osr <> None;
-            reason = d.Diag.message;
-            cycles = o.Jit.mir_charge + o.Jit.backend_charge;
-          });
+    if listening t then
+      emit t
+        (Telemetry.Compile_abort
+           {
+             fid = fs.fid;
+             fname = name;
+             specialized;
+             osr = r.Jit.osr <> None;
+             reason = d.Diag.message;
+             cycles = o.Jit.mir_charge + o.Jit.backend_charge;
+           });
     quarantine t fs Telemetry.Compile_fault;
     None
   | Ok code ->
@@ -687,22 +746,25 @@ let landing t fs (r : Jit.request) (o : Jit.outcome) =
     if r.Jit.osr <> None then bump t fs Telemetry.Key.compiles_osr;
     if stats.Pipeline.inlined > 0 then begin
       bump ~n:stats.Pipeline.inlined t fs Telemetry.Key.inlined;
-      emit t (fun () ->
-          Telemetry.Inline_decision { fid = fs.fid; fname = name; inlined = stats.Pipeline.inlined })
+      if listening t then
+        emit t
+          (Telemetry.Inline_decision
+             { fid = fs.fid; fname = name; inlined = stats.Pipeline.inlined })
     end;
     if stats.Pipeline.guards_elided > 0 then begin
       bump ~n:stats.Pipeline.guards_elided t fs Telemetry.Key.guards_elided;
       List.iter
         (fun (e : Mir.elision) ->
-          emit t (fun () ->
-              Telemetry.Guard_elided
-                {
-                  fid = fs.fid;
-                  fname = name;
-                  guard = e.Mir.el_kind;
-                  origin_fid = e.Mir.el_ofid;
-                  pc = e.Mir.el_pc;
-                }))
+          if listening t then
+            emit t
+              (Telemetry.Guard_elided
+                 {
+                   fid = fs.fid;
+                   fname = name;
+                   guard = e.Mir.el_kind;
+                   origin_fid = e.Mir.el_ofid;
+                   pc = e.Mir.el_pc;
+                 }))
         stats.Pipeline.elisions
     end;
     fs.sizes <- (specialized, Code.size code) :: fs.sizes;
@@ -728,20 +790,23 @@ let try_compile t fs ?osr key =
     ~cat:"compile" fs.fid;
   (match key with
   | Policy.Key_values (args, mask) ->
-    emit t (fun () ->
-        Telemetry.Specialize { fid = fs.fid; fname = name; args = display_args args; mask })
+    if listening t then
+      emit t
+        (Telemetry.Specialize { fid = fs.fid; fname = name; args = display_args args; mask })
   | Policy.Key_tags _ ->
     (* Tag-keyed (widened) version: announce what it specializes on. Only
        the polyvariant policy compiles these, so the paper policy's event
        stream is untouched. *)
-    emit t (fun () ->
-        Telemetry.Specialize
-          { fid = fs.fid; fname = name; args = Policy.key_to_string key; mask = None })
+    if listening t then
+      emit t
+        (Telemetry.Specialize
+           { fid = fs.fid; fname = name; args = Policy.key_to_string key; mask = None })
   | Policy.Key_generic -> ());
   let selective = match key with Policy.Key_values (_, Some _) -> true | _ -> false in
-  emit t (fun () ->
-      Telemetry.Compile_start
-        { fid = fs.fid; fname = name; specialized; selective; osr = osr <> None });
+  if listening t then
+    emit t
+      (Telemetry.Compile_start
+         { fid = fs.fid; fname = name; specialized; selective; osr = osr <> None });
   (* Compilation charges no interpreter or native cycles, so the whole
      compile occupies [start_now, start_now + charged) on the span clock
      and pass/codegen children can be placed retroactively inside it. *)
@@ -785,18 +850,19 @@ let try_compile t fs ?osr key =
     span_end ~args:[ ("aborted", "true") ] t;
     None
   | Some entry ->
-    emit t (fun () ->
-        Telemetry.Compile_end
-          {
-            fid = fs.fid;
-            fname = name;
-            specialized;
-            selective;
-            osr = osr <> None;
-            size = o.Jit.size;
-            cycles = o.Jit.mir_charge + o.Jit.backend_charge;
-            passes = (Option.get o.Jit.stats).Pipeline.passes;
-          });
+    if listening t then
+      emit t
+        (Telemetry.Compile_end
+           {
+             fid = fs.fid;
+             fname = name;
+             specialized;
+             selective;
+             osr = osr <> None;
+             size = o.Jit.size;
+             cycles = o.Jit.mir_charge + o.Jit.backend_charge;
+             passes = (Option.get o.Jit.stats).Pipeline.passes;
+           });
     span_end
       ~args:
         [ ("specialized", if specialized then "true" else "false");
@@ -824,7 +890,7 @@ let stability_mask fs =
 (* The queue is live only while the engine is healthy: degrade mode
    drains it (below) and suppresses new requests, falling back to the
    PR-8 synchronous semantics. *)
-let bg_active t = t.bg <> None && not !(t.degrade)
+let bg_active t = match t.bg with Some _ -> not !(t.degrade) | None -> false
 
 (* Values the compile thunk may not read from another domain at an
    arbitrary wall-clock moment: anything mutable. Requests that bake such
@@ -837,7 +903,8 @@ let bg_mutable_value = function
 
 let bg_cancel t fs ~reason key =
   bump t fs key;
-  emit t (fun () -> Telemetry.Compile_cancel { fid = fs.fid; fname = fname t fs.fid; reason })
+  if listening t then
+    emit t (Telemetry.Compile_cancel { fid = fs.fid; fname = fname t fs.fid; reason })
 
 (* Admit one compile request to the background queue. The whole request —
    builder inputs, pipeline config, fault decisions, the cache key and
@@ -895,16 +962,17 @@ let bg_request t fs ?osr ?supersede key =
         bg_cancel t fs ~reason:"overflow" Telemetry.Key.bg_overflow
       | Ok e ->
         bump t fs Telemetry.Key.bg_queued;
-        emit t (fun () ->
-            Telemetry.Compile_enqueue
-              {
-                fid = fs.fid;
-                fname = fname t fs.fid;
-                kind;
-                osr = osr <> None;
-                ready = e.Bgcompile.e_ready;
-                depth = Bgcompile.length q;
-              });
+        if listening t then
+          emit t
+            (Telemetry.Compile_enqueue
+               {
+                 fid = fs.fid;
+                 fname = fname t fs.fid;
+                 kind;
+                 osr = osr <> None;
+                 ready = e.Bgcompile.e_ready;
+                 depth = Bgcompile.length q;
+               });
         (* The flow starts on the requesting lane at the enqueue instant;
            exactly one matching finish is emitted wherever the job leaves
            the system (install, abort, cancel, drain or teardown). *)
@@ -978,15 +1046,16 @@ let bg_install_under t fs (e : bg_job Bgcompile.entry) =
       | _ -> ());
       install_entry t fs entry;
       bump t fs Telemetry.Key.bg_installed;
-      emit t (fun () ->
-          Telemetry.Compile_ready
-            {
-              fid = fs.fid;
-              fname = fname t fs.fid;
-              size = o.Jit.size;
-              cycles = charge;
-              wait = now t - e.Bgcompile.e_enqueue;
-            });
+      if listening t then
+        emit t
+          (Telemetry.Compile_ready
+             {
+               fid = fs.fid;
+               fname = fname t fs.fid;
+               size = o.Jit.size;
+               cycles = charge;
+               wait = now t - e.Bgcompile.e_enqueue;
+             });
       (* Zero-length trace marker at the harvest instant (a full span
          would overlap the enclosing interpret span arbitrarily). *)
       span_mark t ~name:"bg-ready" ~cat:"bg" ~start:(now t) ~dur:0
@@ -1117,7 +1186,9 @@ let request_compile t fs ?osr key =
    an interprocedural constant signature are counted — they are the
    decisions the caller-side facts influenced. Selective keying burns in
    only the stable argument positions; if nothing is stable any more it
-   falls back to a generic compile and stops trying. *)
+   falls back to a generic compile and stops trying. A value key burns in
+   a copy of the arguments: the call's own array becomes the interpreted
+   frame's, which [Set_arg] mutates — before a queued compile reads it. *)
 let compile_with_choice t fs args choice =
   (match choice with
   | Policy.Spec_values
@@ -1127,7 +1198,7 @@ let compile_with_choice t fs args choice =
   | _ -> ());
   match choice with
   | Policy.Spec_generic -> request_compile t fs Policy.Key_generic
-  | Policy.Spec_values -> request_compile t fs (Policy.Key_values (args, None))
+  | Policy.Spec_values -> request_compile t fs (Policy.Key_values (Array.copy args, None))
   | Policy.Spec_tags ->
     request_compile t fs (Policy.Key_tags (Array.map Value.tag_of (as_entry t fs args)))
   | Policy.Spec_selective ->
@@ -1135,7 +1206,7 @@ let compile_with_choice t fs args choice =
     (* Zero-arity functions are vacuously stable (specialization then only
        affects OSR locals baking). *)
     if Array.length mask = 0 || Array.exists Fun.id mask then
-      request_compile t fs (Policy.Key_values (args, Some mask))
+      request_compile t fs (Policy.Key_values (Array.copy args, Some mask))
     else begin
       blacklist t fs;
       request_compile t fs Policy.Key_generic
@@ -1153,7 +1224,7 @@ let compile_with_choice t fs args choice =
    policy's live counters, its decisions become queue entries, and
    installed versions are superseded instead of dropped. *)
 let widen_version t fs index args =
-  if bg_active t && bg_pending t fs <> None then None
+  if bg_active t && Option.is_some (bg_pending t fs) then None
   else
     match List.nth_opt fs.compiled index with
     | None -> None
@@ -1197,6 +1268,18 @@ let widen_version t fs index args =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The probe's scan: the index of the first entry of the lowest
+   [Policy.key_rank] whose key matches [args] ([best], -1 if none, among
+   entries from index [at], ranked [rank] so far). *)
+let rec best_match args entries ~at ~best ~rank =
+  match entries with
+  | [] -> best
+  | e :: rest ->
+    let r = Policy.key_rank e.key in
+    if r < rank && Policy.matches e.key args then
+      best_match args rest ~at:(at + 1) ~best:at ~rank:r
+    else best_match args rest ~at:(at + 1) ~best ~rank
+
 (* The engine's three mutually recursive activities: dispatching calls,
    running native code (with bailout resume), and interpreting. *)
 let rec call_value t (callee : Value.t) args =
@@ -1214,23 +1297,17 @@ let rec call_value t (callee : Value.t) args =
    the front of the LRU order. Ties keep the most recently used entry
    (lowest index). Paper caches never mix specificities (generic code only
    exists after [clear_compiled]), so there this is the first match in LRU
-   order. Hits move to the front (LRU), refresh the global-LRU clock, and
-   report the probed index. *)
+   order. A hit moves to the front (LRU), so it is then the head of
+   [fs.compiled], and refreshes the global-LRU clock. Returns the probed
+   index of the hit, or -1. Allocates nothing unless the hit moves. *)
 and cache_find t fs args =
-  let found = ref None in
-  List.iteri
-    (fun i entry ->
-      if Policy.matches entry.key args then
-        match !found with
-        | Some (_, b) when Policy.key_rank b.key <= Policy.key_rank entry.key -> ()
-        | _ -> found := Some (i, entry))
-    fs.compiled;
-  match !found with
-  | None -> None
-  | Some (i, entry) ->
-    if i > 0 then fs.compiled <- entry :: List.filter (fun e -> e != entry) fs.compiled;
-    touch t entry;
-    Some (i, entry)
+  let i = best_match args fs.compiled ~at:0 ~best:(-1) ~rank:max_int in
+  if i > 0 then begin
+    let entry = List.nth fs.compiled i in
+    fs.compiled <- entry :: List.filter (fun e -> e != entry) fs.compiled
+  end;
+  (match fs.compiled with entry :: _ when i >= 0 -> touch t entry | _ -> ());
+  i
 
 and call_closure t (c : Value.closure) args =
   if !(t.depth) >= t.cfg.max_depth then raise (Runtime_error "stack overflow");
@@ -1246,61 +1323,22 @@ and call_closure t (c : Value.closure) args =
 and call_closure_at_depth t (c : Value.closure) args =
   let fs = t.fstates.(c.Value.fid) in
   let func = t.program.Bytecode.Program.funcs.(c.Value.fid) in
-  bump t fs Telemetry.Key.calls;
+  let cells = call_cells t in
+  Telemetry.Counters.bump_cell cells.c_calls ~fid:fs.fid;
   observe_args t fs args;
   (* Harvest first: an artifact whose modeled ready cycle has passed must
      be installed before the cache probe, so the very call that finds the
      queue done is the first call the binary serves. *)
   if bg_active t then ignore (bg_harvest t fs);
-  (* Any compile attempt below may abort (returning [None]): the call then
-     falls back to plain interpretation and the quarantine clock decides
-     when compilation is tried again. *)
-  let run_or_interp = function
-    | Some entry ->
-      install_entry t fs entry;
-      run_native_entry t fs func c args entry
-    | None -> interpret t func ~upvals:c.Value.env ~args
-  in
   match cache_find t fs args with
-  | Some (index, entry) ->
-    bump t fs Telemetry.Key.cache_hits;
-    emit t (fun () ->
-        Telemetry.Cache_hit
-          { fid = fs.fid; fname = fname t fs.fid; index;
-            entries = List.length fs.compiled });
-    (* Tier-2 promotion: a generic tier-1 binary serving a function that
-       stayed hot gets a specialized sibling (polyvariant only — the
-       paper policy's [promote] is always [None]). The specialized
-       version serves this very call; the catch-all stays behind it for
-       every signature the new key does not cover. *)
-    let promoted =
-      match entry.key with
-      | Policy.Key_generic
-        when t.cfg.policy = Policy.Polyvariant && t.cfg.jit && can_compile t fs -> (
-        match
-          Policy.promote t.cfg.policy (policy_view t fs) ~args
-            ~hot_calls:t.cfg.hot_calls
-        with
-        | None -> None
-        | Some choice ->
-          bump t fs Telemetry.Key.versions_promoted;
-          (* Background mode: the generic binary serves this call too;
-             the specialized sibling is queued and takes over at its
-             harvest. *)
-          compile_with_choice t fs args choice)
-      | _ -> None
-    in
-    (match promoted with
-    | Some better ->
-      install_entry t fs better;
-      run_native_entry t fs func c args better
-    | None -> run_native_entry t fs func c args entry)
-  | None ->
-    if fs.compiled <> [] then begin
+  | -1 -> (
+    match fs.compiled with
+    | _ :: _ ->
       bump t fs Telemetry.Key.cache_misses;
-      emit t (fun () ->
-          Telemetry.Cache_miss
-            { fid = fs.fid; fname = fname t fs.fid; entries = List.length fs.compiled });
+      if listening t then
+        emit t
+          (Telemetry.Cache_miss
+             { fid = fs.fid; fname = fname t fs.fid; entries = List.length fs.compiled });
       (* Hot, compiled, but no binary fits these arguments. With the
          paper's one-entry cache this is the deoptimization event: discard,
          recompile generic, never specialize again (§4). The §6 extension
@@ -1320,7 +1358,7 @@ and call_closure_at_depth t (c : Value.closure) args =
            now in either mode; a queue-routed compile leaves this call —
            and every call until the artifact lands — interpreting instead
            of stalling. *)
-        run_or_interp
+        run_or_interp t fs func c args
           (match Policy.on_miss t.cfg.policy (policy_view t fs) ~args with
           | Policy.Miss_respecialize ->
             clear_compiled t fs;
@@ -1333,71 +1371,124 @@ and call_closure_at_depth t (c : Value.closure) args =
             deopt t fs Telemetry.Arg_mismatch;
             blacklist t fs;
             request_compile t fs Policy.Key_generic)
-    end
-    else if
-      t.cfg.jit && can_compile t fs
-      && count t fs Telemetry.Key.calls >= t.cfg.hot_calls
-    then begin
-      (* Zero-length marker: the hot-detection instant that triggered this
-         compile attempt (the compile span itself follows). *)
-      span_mark t ~name:"hot" ~cat:"interp" ~start:(now t) ~dur:0
-        ~args:[ ("calls", string_of_int (count t fs Telemetry.Key.calls)) ]
-        fs.fid;
-      let view = policy_view t fs in
-      let choice = Policy.choose_hot t.cfg.policy view ~args in
-      (* The headline path in background mode: the hot-call site hands
-         the compile to the queue and interprets this call — no
-         synchronous compile cycles are ever charged to the requester.
-         The artifact lands at a later call's harvest (or a loop edge's
-         OSR poll). *)
-      run_or_interp (compile_with_choice t fs args choice)
-    end
-    else interpret t func ~upvals:c.Value.env ~args
+    | [] ->
+      if t.cfg.jit && can_compile t fs && calls t fs >= t.cfg.hot_calls then begin
+        (* Zero-length marker: the hot-detection instant that triggered this
+           compile attempt (the compile span itself follows). *)
+        span_mark t ~name:"hot" ~cat:"interp" ~start:(now t) ~dur:0
+          ~args:[ ("calls", string_of_int (calls t fs)) ]
+          fs.fid;
+        let view = policy_view t fs in
+        let choice = Policy.choose_hot t.cfg.policy view ~args in
+        (* The headline path in background mode: the hot-call site hands
+           the compile to the queue and interprets this call — no
+           synchronous compile cycles are ever charged to the requester.
+           The artifact lands at a later call's harvest (or a loop edge's
+           OSR poll). *)
+        run_or_interp t fs func c args (compile_with_choice t fs args choice)
+      end
+      else interpret t func ~upvals:c.Value.env ~args)
+  | index -> (
+    match fs.compiled with
+    | [] -> assert false (* a hit is at the head *)
+    | entry :: _ ->
+      Telemetry.Counters.bump_cell cells.c_cache_hits ~fid:fs.fid;
+      if listening t then
+        emit t
+          (Telemetry.Cache_hit
+             { fid = fs.fid; fname = fname t fs.fid; index;
+               entries = List.length fs.compiled });
+      (* Tier-2 promotion: a generic tier-1 binary serving a function that
+         stayed hot gets a specialized sibling (polyvariant only — the
+         paper policy's [promote] is always [None]). The specialized
+         version serves this very call; the catch-all stays behind it for
+         every signature the new key does not cover. *)
+      let promoted =
+        match (entry.key, t.cfg.policy) with
+        | Policy.Key_generic, Policy.Polyvariant when t.cfg.jit && can_compile t fs -> (
+          match
+            Policy.promote t.cfg.policy (policy_view t fs) ~args
+              ~hot_calls:t.cfg.hot_calls
+          with
+          | None -> None
+          | Some choice ->
+            bump t fs Telemetry.Key.versions_promoted;
+            (* Background mode: the generic binary serves this call too;
+               the specialized sibling is queued and takes over at its
+               harvest. *)
+            compile_with_choice t fs args choice)
+        | _ -> None
+      in
+      match promoted with
+      | Some better ->
+        install_entry t fs better;
+        run_native t fs func ~env:c.Value.env ~args better
+      | None -> run_native t fs func ~env:c.Value.env ~args entry)
 
-and run_native_entry t fs func c args entry =
-  let act = Exec.make_activation ~env:c.Value.env ~func ~args () in
-  run_native t fs func act entry ~at_osr:false
+(* Any compile attempt may abort (returning [None]): the call then falls
+   back to plain interpretation and the quarantine clock decides when
+   compilation is tried again. *)
+and run_or_interp t fs func c args = function
+  | Some entry ->
+    install_entry t fs entry;
+    run_native t fs func ~env:c.Value.env ~args entry
+  | None -> interpret t func ~upvals:c.Value.env ~args
 
-and run_native t fs func act entry ~at_osr =
-  let outcome =
-    in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
-        let o =
-          try Exec.run t.callbacks entry.prog act ~at_osr
-          with Objmodel.Error msg -> raise (Runtime_error msg)
-        in
-        (match o with
-        | Exec.Finished _ -> ()
-        | Exec.Bailed b ->
-          (* The bailout penalty was charged inside [Exec.run] just before
-             it returned, so the frame-reconstruction interval is the
-             [bailout_penalty] cycles ending now — emitted retroactively,
-             nested in the still-open native span. *)
-          span_mark t ~name:"bailout" ~cat:"bailout"
-            ~start:(now t - Cost.bailout_penalty) ~dur:Cost.bailout_penalty
-            ~args:
-              [ ("reason", "\"" ^ Telemetry.json_escape b.Exec.bo_reason ^ "\"");
-                ("pc", string_of_int b.Exec.bo_pc) ]
-            fs.fid);
-        o)
-  in
-  match outcome with
-  | Exec.Finished v -> v
-  | Exec.Bailed b ->
+(* Enter [entry]'s binary: at its entry with [args], or, given [osr], at
+   its OSR offset taking over an interpreted frame's cells and locals. *)
+and exec_native t func ~env ~args ~osr entry =
+  try
+    match osr with
+    | None -> Exec.call t.callbacks entry.prog ~func ~env ~args
+    | Some (cells, locals) -> Exec.enter_osr t.callbacks entry.prog ~env ~cells ~args ~locals
+  with Objmodel.Error msg -> raise (Runtime_error msg)
+
+(* One native activation, resumed in the interpreter if it bails. The
+   native span and the retroactive bailout mark exist only when a tracer
+   is attached; without one nothing here allocates. *)
+and run_native t fs func ~env ~args ?osr entry =
+  match
+    match t.tracer with
+    | None -> exec_native t func ~env ~args ~osr entry
+    | Some _ -> (
+      match
+        in_span t ~name:"native" ~cat:"native" fs.fid (fun () ->
+            match exec_native t func ~env ~args ~osr entry with
+            | v -> Ok v
+            | exception Exec.Bailout b ->
+              (* The bailout penalty was charged inside the executor just
+                 before it raised, so the frame-reconstruction interval is
+                 the [bailout_penalty] cycles ending now — emitted
+                 retroactively, nested in the still-open native span. *)
+              span_mark t ~name:"bailout" ~cat:"bailout"
+                ~start:(now t - Cost.bailout_penalty) ~dur:Cost.bailout_penalty
+                ~args:
+                  [ ("reason", "\"" ^ Telemetry.json_escape b.Exec.bo_reason ^ "\"");
+                    ("pc", string_of_int b.Exec.bo_pc) ]
+                fs.fid;
+              Error b)
+      with
+      | Ok v -> v
+      | Error b -> raise (Exec.Bailout b))
+  with
+  | v -> v
+  | exception Exec.Bailout b ->
     bump t fs Telemetry.Key.bailouts;
     let entry_bail = b.Exec.bo_pc = 0 in
     if entry_bail then bump t fs Telemetry.Key.bailouts_entry
     else entry.strikes <- entry.strikes + 1;
-    emit t (fun () ->
-        Telemetry.Bailout
-          {
-            fid = fs.fid;
-            fname = fname t fs.fid;
-            pc = b.Exec.bo_pc;
-            native_pc = b.Exec.bo_native_pc;
-            reason = b.Exec.bo_reason;
-            osr_entry = at_osr;
-            strikes = entry.strikes;
-          });
+    if listening t then
+      emit t
+        (Telemetry.Bailout
+           {
+             fid = fs.fid;
+             fname = fname t fs.fid;
+             pc = b.Exec.bo_pc;
+             native_pc = b.Exec.bo_native_pc;
+             reason = b.Exec.bo_reason;
+             osr_entry = (match osr with Some _ -> true | None -> false);
+             strikes = entry.strikes;
+           });
     (* Overflow feedback: the int32 fast path was wrong for this function's
        actual values; future compiles use double arithmetic instead of
        re-speculating (and bailing) forever. *)
@@ -1428,17 +1519,18 @@ and run_native t fs func act entry ~at_osr =
          and discarded for recompilation with refreshed type feedback. *)
       detach t fs entry;
       bump t fs Telemetry.Key.strike_discards;
-      emit t (fun () ->
-          Telemetry.Deopt
-            { fid = fs.fid; fname = fname t fs.fid; reason = Telemetry.Strike_limit });
+      if listening t then
+        emit t
+          (Telemetry.Deopt
+             { fid = fs.fid; fname = fname t fs.fid; reason = Telemetry.Strike_limit });
       note_discard t fs
     end;
-    resume_interp t func act b
+    resume_interp t func ~env b
 
-and resume_interp t func (act : Exec.activation) (b : Exec.bailout) =
-  let frame = Interp.make_frame func ~args:b.Exec.bo_args ~upvals:act.Exec.act_env in
+and resume_interp t func ~env (b : Exec.bailout) =
+  let frame = Interp.make_frame func ~args:b.Exec.bo_args ~upvals:env in
   Array.blit b.Exec.bo_locals 0 frame.Interp.locals 0 (Array.length b.Exec.bo_locals);
-  Array.iteri (fun i cell -> frame.Interp.cells.(i) <- cell) act.Exec.act_cells;
+  Array.iteri (fun i cell -> frame.Interp.cells.(i) <- cell) b.Exec.bo_cells;
   Array.blit b.Exec.bo_stack 0 frame.Interp.stack 0 (Array.length b.Exec.bo_stack);
   frame.Interp.sp <- Array.length b.Exec.bo_stack;
   frame.Interp.pc <- b.Exec.bo_pc;
@@ -1449,10 +1541,15 @@ and interpret t func ~upvals ~args =
   run_frame t frame
 
 and run_frame t frame =
-  in_span t ~name:"interpret" ~cat:"interp" frame.Interp.func.Bytecode.Program.fid
-    (fun () ->
-      try Interp.run t.istate t.hooks frame
-      with Interp.Runtime_error msg -> raise (Runtime_error msg))
+  match t.tracer with
+  | None -> interp_frame t frame
+  | Some _ ->
+    in_span t ~name:"interpret" ~cat:"interp" frame.Interp.func.Bytecode.Program.fid
+      (fun () -> interp_frame t frame)
+
+and interp_frame t frame =
+  try Interp.run t.istate t.hooks frame
+  with Interp.Runtime_error msg -> raise (Runtime_error msg)
 
 and maybe_osr t (frame : Interp.frame) =
   if not t.cfg.jit then None
@@ -1477,8 +1574,8 @@ and maybe_osr t (frame : Interp.frame) =
     if
       (not fs.pinned)
       && fs.loop_edges >= t.cfg.hot_loop_edges * (1 lsl min fs.q_failures 16)
-      && fs.compiled = []
-      && ((not (bg_active t)) || bg_pending t fs = None)
+      && (match fs.compiled with [] -> true | _ :: _ -> false)
+      && ((not (bg_active t)) || Option.is_none (bg_pending t fs))
     then begin
       let edges = fs.loop_edges in
       fs.loop_edges <- 0;
@@ -1486,10 +1583,11 @@ and maybe_osr t (frame : Interp.frame) =
       let args_now = Array.copy frame.Interp.args in
       let locals_now = Array.copy frame.Interp.locals in
       bump t fs Telemetry.Key.osr_entries;
-      emit t (fun () ->
-          Telemetry.Osr_enter
-            { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc;
-              loop_edges = edges });
+      if listening t then
+        emit t
+          (Telemetry.Osr_enter
+             { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc;
+               loop_edges = edges });
       span_mark t ~name:"osr-trigger" ~cat:"interp" ~start:(now t) ~dur:0
         ~args:[ ("pc", string_of_int frame.Interp.pc);
                 ("loop_edges", string_of_int edges) ]
@@ -1528,16 +1626,9 @@ and maybe_osr t (frame : Interp.frame) =
       | None -> None  (* aborted or queued: keep interpreting this activation *)
       | Some compiled ->
         install_entry t fs compiled;
-        let act =
-          {
-            Exec.act_args = args_now;
-            act_env = frame.Interp.upvals;
-            act_cells = frame.Interp.cells;
-            act_osr_args = args_now;
-            act_osr_locals = locals_now;
-          }
-        in
-        Some (run_native t fs func act compiled ~at_osr:true)
+        Some
+          (run_native t fs func ~env:frame.Interp.upvals ~args:args_now
+             ~osr:(frame.Interp.cells, locals_now) compiled)
     end
     else None
   end
@@ -1564,19 +1655,15 @@ and bg_osr_poll t fs (frame : Interp.frame) =
     | Some (o, entry) ->
       if bg_osr_frame_matches o frame then begin
         bump t fs Telemetry.Key.bg_osr_entries;
-        emit t (fun () ->
-            Telemetry.Osr_entry
-              { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc });
-        let act =
-          {
-            Exec.act_args = Array.copy frame.Interp.args;
-            act_env = frame.Interp.upvals;
-            act_cells = frame.Interp.cells;
-            act_osr_args = Array.copy frame.Interp.args;
-            act_osr_locals = Array.copy frame.Interp.locals;
-          }
-        in
-        Some (run_native t fs frame.Interp.func act entry ~at_osr:true)
+        if listening t then
+          emit t
+            (Telemetry.Osr_entry
+               { fid = fs.fid; fname = fname t fs.fid; pc = frame.Interp.pc });
+        Some
+          (run_native t fs frame.Interp.func ~env:frame.Interp.upvals
+             ~args:(Array.copy frame.Interp.args)
+             ~osr:(frame.Interp.cells, Array.copy frame.Interp.locals)
+             entry)
       end
       else begin
         bump t fs Telemetry.Key.bg_osr_stale;
@@ -1608,9 +1695,7 @@ let report_of t result =
              fr_sizes = List.rev fs.sizes;
              fr_arg_set_changes = get Telemetry.Key.arg_set_changes;
              fr_last_arg_tags =
-               (match fs.last_args with
-               | None -> []
-               | Some args -> Array.to_list (Array.map Value.tag_of args));
+               List.init (max fs.nlast 0) (fun i -> Value.tag_of fs.last_args.(i));
            })
          t.fstates)
   in
@@ -1668,7 +1753,8 @@ let make engine_config program =
               observed_tags =
                 Array.make program.Bytecode.Program.funcs.(fid).Bytecode.Program.arity [];
               stable_args = None;
-              last_args = None;
+              last_args = [||];
+              nlast = -1;
               sizes = [];
               quarantine_until = 0;
               q_failures = 0;
@@ -1712,7 +1798,9 @@ let make engine_config program =
           cycles = native_cycles;
           charge = None;
           tick = None;
+          faults = false;
         };
+      call_cells = None;
     }
   and call callee args = call_value t callee args in
   t
@@ -1739,8 +1827,9 @@ let deadline_trip t =
         if spent > budget then begin
           let fs = t.fstates.(fid) in
           bump t fs Telemetry.Key.deadlines;
-          emit t (fun () ->
-              Telemetry.Deadline_hit { fid; fname = fname t fid; spent; limit = budget });
+          if listening t then
+            emit t
+              (Telemetry.Deadline_hit { fid; fname = fname t fid; spent; limit = budget });
           raise
             (Deadline_exceeded { dl_fid = fid; dl_pc = pc; dl_spent = spent; dl_limit = budget })
         end)
@@ -1765,6 +1854,7 @@ let observe t =
     {
       t.callbacks with
       Exec.charge = Option.map Profile.Recorder.exec_charge r;
+      faults = Faults.active ();
       tick =
         both
           (Option.map (fun trip (code : Code.t) pc -> trip code.Code.fid pc) trip)

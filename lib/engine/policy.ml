@@ -25,23 +25,27 @@ let matches key args =
   | Key_values (cached, None) -> Value.same_args args cached
   | Key_values (cached, Some mask) ->
     Array.length cached = Array.length args
-    && (let ok = ref true in
-        Array.iteri
-          (fun i m -> if m && not (Value.same_value args.(i) cached.(i)) then ok := false)
-          mask;
-        !ok)
+    &&
+    let i = ref 0 in
+    while
+      !i < Array.length mask && ((not mask.(!i)) || Value.same_value args.(!i) cached.(!i))
+    do
+      incr i
+    done;
+    !i = Array.length mask
   | Key_tags tags ->
     (* A tag key always has the function's arity; compare the tuple as the
        callee will see it — missing arguments padded with [Undefined],
        extra arguments dropped at entry. *)
     let n = Array.length args in
-    let ok = ref true in
-    Array.iteri
-      (fun i tag ->
-        let got = if i < n then Value.tag_of args.(i) else Value.Tag_undefined in
-        if got <> tag then ok := false)
-      tags;
-    !ok
+    let i = ref 0 in
+    while
+      !i < Array.length tags
+      && tags.(!i) == (if !i < n then Value.tag_of args.(!i) else Value.Tag_undefined)
+    do
+      incr i
+    done;
+    !i = Array.length tags
 
 let key_to_string = function
   | Key_generic -> "generic"

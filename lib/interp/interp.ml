@@ -52,7 +52,8 @@ let make_frame (func : Bytecode.Program.func) ~args ~upvals =
     func;
     args = padded;
     locals = Array.make (max func.nlocals 1) Value.Undefined;
-    cells = Array.init (max func.ncells 1) (fun _ -> ref Value.Undefined);
+    cells =
+      (if func.ncells = 0 then [||] else Array.init func.ncells (fun _ -> ref Value.Undefined));
     upvals;
     stack = Array.make (max func.max_stack 1) Value.Undefined;
     sp = 0;
@@ -72,10 +73,16 @@ let pop frame =
    aliasing in [make_frame] when no padding is needed), so a reused scratch
    buffer here would alias live frames. Opcodes whose operands do *not*
    escape ([New_array], [New_object]) read the operand stack in place
-   instead of going through this. *)
+   instead of going through this. Short argument lists are built inline. *)
 let pop_n frame n =
-  let vs = Array.sub frame.stack (frame.sp - n) n in
-  frame.sp <- frame.sp - n;
+  let sp = frame.sp - n in
+  let vs =
+    match n with
+    | 1 -> [| frame.stack.(sp) |]
+    | 2 -> [| frame.stack.(sp); frame.stack.(sp + 1) |]
+    | _ -> Array.sub frame.stack sp n
+  in
+  frame.sp <- sp;
   vs
 
 (* Object-model operations are shared with the native executor through

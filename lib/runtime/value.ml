@@ -125,10 +125,14 @@ let same_value a b =
     false
 
 let same_args xs ys =
-  Array.length xs = Array.length ys
-  && (let ok = ref true in
-      Array.iteri (fun i x -> if not (same_value x ys.(i)) then ok := false) xs;
-      !ok)
+  let n = Array.length xs in
+  n = Array.length ys
+  &&
+  let i = ref 0 in
+  while !i < n && same_value xs.(!i) ys.(!i) do
+    incr i
+  done;
+  !i = n
 
 let typeof = function
   | Undefined -> "undefined"

@@ -661,50 +661,54 @@ module Key = struct
 end
 
 module Counters = struct
-  type t = {
-    nfuncs : int;
-    totals : (string, int ref) Hashtbl.t;
-    per_fid : (string, int array) Hashtbl.t;
+  (* One counter: its global total and its per-function values. A cell
+     exists from the first time its name is resolved, but is listed by
+     [rows] only once it has been bumped, so resolving a name ahead of
+     use (as the engine does for its per-call counters) changes nothing a
+     reader sees. *)
+  type cell = {
+    mutable bumped : bool;
+    mutable total : int;
+    per_fid : int array;
   }
 
-  let create ~nfuncs () =
-    { nfuncs; totals = Hashtbl.create 16; per_fid = Hashtbl.create 16 }
+  type t = { nfuncs : int; cells : (string, cell) Hashtbl.t }
 
-  let total_ref t name =
-    match Hashtbl.find_opt t.totals name with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.replace t.totals name r;
-      r
+  let create ~nfuncs () = { nfuncs; cells = Hashtbl.create 16 }
 
-  let fid_array t name =
-    match Hashtbl.find_opt t.per_fid name with
-    | Some a -> a
+  let cell t name =
+    match Hashtbl.find_opt t.cells name with
+    | Some c -> c
     | None ->
-      let a = Array.make (max t.nfuncs 1) 0 in
-      Hashtbl.replace t.per_fid name a;
-      a
+      let c = { bumped = false; total = 0; per_fid = Array.make (max t.nfuncs 1) 0 } in
+      Hashtbl.replace t.cells name c;
+      c
 
   (* A per-function bump also maintains the global total, so
      [total c Key.compiles] is always the sum over functions. *)
-  let bump ?(n = 1) t ~fid name =
-    (fid_array t name).(fid) <- (fid_array t name).(fid) + n;
-    let r = total_ref t name in
-    r := !r + n
+  let bump_cell ?(n = 1) c ~fid =
+    c.bumped <- true;
+    c.per_fid.(fid) <- c.per_fid.(fid) + n;
+    c.total <- c.total + n
+
+  let cell_get c ~fid = c.per_fid.(fid)
+
+  let bump ?n t ~fid name = bump_cell ?n (cell t name) ~fid
 
   let bump_global ?(n = 1) t name =
-    let r = total_ref t name in
-    r := !r + n
+    let c = cell t name in
+    c.bumped <- true;
+    c.total <- c.total + n
 
   let get t ~fid name =
-    match Hashtbl.find_opt t.per_fid name with Some a -> a.(fid) | None -> 0
+    match Hashtbl.find_opt t.cells name with Some c -> c.per_fid.(fid) | None -> 0
 
   let total t name =
-    match Hashtbl.find_opt t.totals name with Some r -> !r | None -> 0
+    match Hashtbl.find_opt t.cells name with Some c -> c.total | None -> 0
 
   let names t =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.totals [])
+    List.sort compare
+      (Hashtbl.fold (fun k c acc -> if c.bumped then k :: acc else acc) t.cells [])
 
   (* (name, total) rows, name-sorted — the --stats global table. *)
   let rows t = List.map (fun name -> (name, total t name)) (names t)
@@ -717,11 +721,15 @@ module Counters = struct
         if v = 0 then None else Some (name, v))
       (names t)
 
-  (* Zero every registered counter (totals and per-function), keeping the
-     registry identity so sinks holding a reference observe the reset. *)
+  (* Zero every cell (totals and per-function) in place, keeping the
+     registry and its cells: sinks and engines holding either observe the
+     reset, and a bumped name stays listed. *)
   let reset t =
-    Hashtbl.iter (fun _ r -> r := 0) t.totals;
-    Hashtbl.iter (fun _ a -> Array.fill a 0 (Array.length a) 0) t.per_fid
+    Hashtbl.iter
+      (fun _ c ->
+        c.total <- 0;
+        Array.fill c.per_fid 0 (Array.length c.per_fid) 0)
+      t.cells
 end
 
 (* A ring sink that accounts for its own losses: every event written over
@@ -772,12 +780,12 @@ let counters t = t.counters
 
 (* Emission is allocation-free when nobody listens: callers guard event
    construction behind [active]. *)
-let active t = t.sinks <> []
+let active t = match t.sinks with [] -> false | _ :: _ -> true
 let emit t ev = List.iter (fun sink -> sink ev) t.sinks
 
 (* Same contract for spans: the engine computes timestamps and allocates
    span records only behind [spans_active], so tracing off costs nothing. *)
-let spans_active t = t.span_sinks <> []
+let spans_active t = match t.span_sinks with [] -> false | _ :: _ -> true
 let emit_span t sp = List.iter (fun sink -> sink sp) t.span_sinks
 
 let with_default_sinks sinks f = Support.Tls.with_value default_sinks_slot sinks f

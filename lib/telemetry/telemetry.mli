@@ -383,26 +383,47 @@ end
 
 (** Named monotonic counters, per-function and global. A per-function
     {!Counters.bump} also maintains the global total, so totals are always
-    the sum over functions. Reads of a name never bumped return 0. *)
+    the sum over functions. Reads of a name never bumped return 0.
+
+    Each name owns one {!Counters.cell}. The string API looks the cell up
+    by name on every use; a hot caller resolves the cell once with
+    {!Counters.cell} and then bumps and reads it directly — no hashing, no
+    allocation. Both APIs read and write the same cell. A cell that was
+    resolved but never bumped is not listed by {!Counters.rows} or
+    {!Counters.fid_rows}. *)
 module Counters : sig
   type t
 
+  type cell
+  (** One counter of one registry. *)
+
   val create : nfuncs:int -> unit -> t
+
+  val cell : t -> string -> cell
+  (** The cell named [name], created (unbumped, zero) on first use. *)
+
+  val bump_cell : ?n:int -> cell -> fid:int -> unit
+  (** {!bump} on a resolved cell. *)
+
+  val cell_get : cell -> fid:int -> int
+  (** {!get} on a resolved cell. *)
+
   val bump : ?n:int -> t -> fid:int -> string -> unit
   val bump_global : ?n:int -> t -> string -> unit
   val get : t -> fid:int -> string -> int
   val total : t -> string -> int
 
   val rows : t -> (string * int) list
-  (** (name, global total), name-sorted. *)
+  (** (name, global total) of every bumped name, name-sorted. *)
 
   val fid_rows : t -> int -> (string * int) list
   (** One function's non-zero counters, name-sorted. *)
 
   val reset : t -> unit
-  (** Zero every registered counter (totals and per-function) in place,
-      preserving the registry identity: sinks or reports holding the
-      registry observe the reset. *)
+  (** Zero every cell (totals and per-function) in place, preserving the
+      registry identity and its cells: sinks, reports and engines holding
+      the registry or a cell observe the reset, and every bumped name stays
+      listed (at 0). *)
 end
 
 (** {1 The hub}

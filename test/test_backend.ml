@@ -20,19 +20,23 @@ let exec ?(globals = [||]) code ~func ~args =
       cycles;
       charge = None;
       tick = None;
+      faults = false;
     }
   in
-  let act = Exec.make_activation ~func ~args () in
   (* Bind before pairing: tuple components evaluate right to left. *)
-  let outcome = Exec.run cb (Exec.load code) act ~at_osr:false in
+  let outcome =
+    match Exec.call cb (Exec.load code) ~func ~env:[||] ~args with
+    | v -> Ok v
+    | exception Exec.Bailout b -> Error b
+  in
   (outcome, !cycles)
 
 let value = Alcotest.testable Value.pp Value.same_value
 
 let check_finished name expected outcome =
   match outcome with
-  | Exec.Finished v -> Alcotest.check value name expected v
-  | Exec.Bailed b -> Alcotest.failf "%s: unexpected bailout (%s)" name b.Exec.bo_reason
+  | Ok v -> Alcotest.check value name expected v
+  | Error b -> Alcotest.failf "%s: unexpected bailout (%s)" name b.Exec.bo_reason
 
 (* --- lowering --- *)
 
@@ -96,11 +100,11 @@ let test_exec_type_barrier_bails () =
   in
   let outcome, _ = exec code ~func ~args:[| Value.Str "boom" |] in
   match outcome with
-  | Exec.Bailed b ->
+  | Error b ->
     Alcotest.(check int) "resumes at entry" 0 b.Exec.bo_pc;
     Alcotest.(check bool) "argument recovered" true
       (Value.same_value b.Exec.bo_args.(0) (Value.Str "boom"))
-  | Exec.Finished _ -> Alcotest.fail "expected a type-barrier bailout"
+  | Ok _ -> Alcotest.fail "expected a type-barrier bailout"
 
 let test_exec_bounds_check_bails_with_state () =
   let src = "function f(s, i) { var marker = i * 10; return s[i] + marker; }" in
@@ -114,10 +118,10 @@ let test_exec_bounds_check_bails_with_state () =
   (* Out of bounds bails with the locals reconstructed. *)
   let outcome, _ = exec code ~func ~args:[| arr; Value.Int 7 |] in
   match outcome with
-  | Exec.Bailed b ->
+  | Error b ->
     Alcotest.(check bool) "marker local recovered" true
       (Array.exists (fun v -> Value.same_value v (Value.Int 70)) b.Exec.bo_locals)
-  | Exec.Finished _ -> Alcotest.fail "expected bounds bailout"
+  | Ok _ -> Alcotest.fail "expected bounds bailout"
 
 let test_exec_overflow_bails () =
   let _, func, code, _ =
@@ -125,8 +129,8 @@ let test_exec_overflow_bails () =
   in
   let outcome, _ = exec code ~func ~args:[| Value.Int Value.int32_max |] in
   match outcome with
-  | Exec.Bailed b -> Alcotest.(check string) "reason" "int32 overflow" b.Exec.bo_reason
-  | Exec.Finished _ -> Alcotest.fail "expected overflow bailout"
+  | Error b -> Alcotest.(check string) "reason" "int32 overflow" b.Exec.bo_reason
+  | Ok _ -> Alcotest.fail "expected overflow bailout"
 
 let test_exec_globals () =
   let src = "g = 0; function bump(n) { g = g + n; return g; }" in
@@ -237,13 +241,12 @@ let prop_three_way_differential =
       let code, _ = Regalloc.run (Lower.run f) in
       let cb =
         { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
-          charge = None; tick = None }
+          charge = None; tick = None; faults = false }
       in
-      let act = Exec.make_activation ~func ~args () in
       let native_agrees =
-        match Exec.run cb (Exec.load code) act ~at_osr:false with
-        | Exec.Finished v -> Value.same_value v expected
-        | Exec.Bailed _ -> true
+        match Exec.call cb (Exec.load code) ~func ~env:[||] ~args with
+        | v -> Value.same_value v expected
+        | exception Exec.Bailout _ -> true
       in
       mir_agrees && native_agrees)
 
@@ -272,12 +275,11 @@ let prop_native_matches_interp =
       let code, _ = Regalloc.run (Lower.run f) in
       let cb =
         { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
-          charge = None; tick = None }
+          charge = None; tick = None; faults = false }
       in
-      let act = Exec.make_activation ~func ~args () in
-      match Exec.run cb (Exec.load code) act ~at_osr:false with
-      | Exec.Finished v -> Value.same_value v expected
-      | Exec.Bailed _ -> true (* overflow guards may fire; resume is engine-level *))
+      match Exec.call cb (Exec.load code) ~func ~env:[||] ~args with
+      | v -> Value.same_value v expected
+      | exception Exec.Bailout _ -> true (* overflow guards may fire; resume is engine-level *))
 
 (* --- the loaded executor --- *)
 
@@ -329,7 +331,7 @@ let test_bail_rebuilds_snapshot () =
   let ok, _ = exec code ~func:one_arg_func ~args:[| Value.Int 4 |] in
   check_finished "guard passes" (Value.Int 4) ok;
   match exec code ~func:one_arg_func ~args:[| Value.Str "x" |] with
-  | Exec.Bailed b, cycles ->
+  | Error b, cycles ->
     let values = Alcotest.(array value) in
     Alcotest.(check int) "bytecode pc" 3 b.Exec.bo_pc;
     Alcotest.(check int) "native pc" 2 b.Exec.bo_native_pc;
@@ -341,7 +343,7 @@ let test_bail_rebuilds_snapshot () =
     Alcotest.(check int) "three instructions and the penalty"
       (Array.fold_left (fun n i -> n + Cost.instr i) Cost.bailout_penalty instrs)
       cycles
-  | Exec.Finished _, _ -> Alcotest.fail "expected a type-barrier bailout"
+  | Ok _, _ -> Alcotest.fail "expected a type-barrier bailout"
 
 (* [load] rejects unallocated operands; a guard without a snapshot is
    only an error when it fails. *)

@@ -50,6 +50,29 @@ let loop_src =
    for (var j = 0; j < 60; j = j + 1) { total = total + work(200, 3); }\n\
    print(total);"
 
+(* A queued value key must be a copy of the call's arguments: the call
+   that enqueues goes on interpreting with its own argument array, and
+   [Set_arg] rewrote a shared one before the compile read it — 200 calls
+   of [f(5)] then compiled [f(6)], missed, deoptimized and blacklisted. *)
+let test_queued_key_is_a_snapshot () =
+  let engine, report, out =
+    run ~cfg:(bg_cfg ())
+      "function f(x) { x = x + 1; return x; }\n\
+       var t = 0;\n\
+       for (var i = 0; i < 200; i++) t = t + f(5);\n\
+       print(t);"
+  in
+  Alcotest.(check string) "output" "1200\n" out;
+  let f = fn report "f" in
+  Alcotest.(check int) "one compile" 1 f.Engine.fr_compiles;
+  Alcotest.(check bool) "specialized" true f.Engine.fr_was_specialized;
+  Alcotest.(check bool) "never deoptimized" false f.Engine.fr_deoptimized;
+  let c = Telemetry.counters (Engine.telemetry engine) in
+  let get key = Telemetry.Counters.get c ~fid:f.Engine.fr_fid key in
+  Alcotest.(check int) "no cache miss" 0 (get Telemetry.Key.cache_misses);
+  Alcotest.(check int) "no blacklist" 0 (get Telemetry.Key.blacklists);
+  Alcotest.(check int) "no argument-set change" 0 (get Telemetry.Key.arg_set_changes)
+
 (* --- the queue's completion model (unit) ----------------------------- *)
 
 let test_queue_model () =
@@ -421,5 +444,7 @@ let suites =
         Alcotest.test_case "degrade transition drains" `Quick
           test_degrade_transition_drains_in_flight;
         Alcotest.test_case "--jobs byte-identity" `Quick test_jobs_determinism;
+        Alcotest.test_case "queued value key is a snapshot (regression)" `Quick
+          test_queued_key_is_a_snapshot;
       ] );
   ]

@@ -280,6 +280,65 @@ let test_osr_binary_reused_via_entry () =
   Alcotest.(check bool) "was specialized" true f.Engine.fr_was_specialized;
   Alcotest.(check bool) "no deopt" true (not f.Engine.fr_deoptimized)
 
+(* A callee that writes its parameter must not rewrite the engine's record
+   of the call: the interpreted frame takes over the caller's argument
+   array, so a profile that kept that array saw [f(5)] arrive as [f(6)]
+   on every later call. Five identical calls change the argument set
+   zero times, interpreted or not. *)
+let test_set_arg_keeps_the_argument_profile () =
+  let src =
+    "function f(x) { x = x + 1; return x; }\n\
+     var t = 0;\n\
+     for (var i = 0; i < 5; i++) t = t + f(5);\n\
+     print(t);"
+  in
+  List.iter
+    (fun (name, cfg) ->
+      let report, out = run ~cfg src in
+      Alcotest.(check string) (name ^ ": output") "30\n" out;
+      Alcotest.(check int) (name ^ ": argument-set changes") 0
+        (fn report "f").Engine.fr_arg_set_changes;
+      Alcotest.(check (list string)) (name ^ ": last argument tags") [ "Int32" ]
+        (List.map Value.tag_to_string (fn report "f").Engine.fr_last_arg_tags))
+    [
+      ("interp-only", Engine.interp_only);
+      ("spec", Engine.default_config ~opt:Pipeline.all_on ());
+    ]
+
+(* What one warm call allocates, in minor words: a loop calling
+   [ix(k, k + 1)] against the same loop with the body inlined, each run at
+   two trip counts so compiles and set-up cancel. The count is exact (the
+   executors allocate the same words on every run). A JIT-to-JIT call may
+   allocate its argument array and nothing else: header plus two values,
+   3 words. An interpreted call also builds its interpreter frame (record,
+   locals and operand stack) and the return's exception: 22 words. *)
+let call_words cfg =
+  let words ~inline n =
+    let src =
+      Printf.sprintf
+        "function ix(i, j) { return i + 18 * j; }\n\
+         function run(n) { var s = 0; for (var k = 0; k < n; k++) { s = s + %s; } return s; }\n\
+         run(%d);"
+        (if inline then "(k + 18 * (k + 1))" else "ix(k, k + 1)")
+        n
+    in
+    let engine = Engine.make cfg (Bytecode.Compile.program_of_source src) in
+    let before = Gc.minor_words () in
+    ignore (Engine.run engine);
+    Gc.minor_words () -. before
+  in
+  let per_iteration ~inline = (words ~inline 3000 -. words ~inline 1000) /. 2000. in
+  per_iteration ~inline:false -. per_iteration ~inline:true
+
+let test_warm_call_allocation_budget () =
+  let jit = Engine.default_config ~opt:Pipeline.baseline () in
+  let jit_words = call_words jit in
+  if jit_words > 3. then
+    Alcotest.failf "a warm JIT-to-JIT call allocates %.2f minor words (budget 3)" jit_words;
+  let interp_words = call_words { jit with Engine.jit = false } in
+  if interp_words > 22. then
+    Alcotest.failf "a warm interpreted call allocates %.2f minor words (budget 22)" interp_words
+
 let test_engine_determinism () =
   (* Two runs of the same program produce identical cycle accounting: no
      hidden global state leaks between engine instances. *)
@@ -443,5 +502,9 @@ let suites =
           test_lru_missing_probe_no_refresh;
         QCheck_alcotest.to_alcotest ~long:false prop_report_invariants;
         Alcotest.test_case "deterministic accounting" `Quick test_engine_determinism;
+        Alcotest.test_case "Set_arg keeps the argument profile (regression)" `Quick
+          test_set_arg_keeps_the_argument_profile;
+        Alcotest.test_case "warm-call allocation budget" `Quick
+          test_warm_call_allocation_budget;
       ] );
   ]

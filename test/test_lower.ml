@@ -15,16 +15,17 @@ let compile ?spec_args ?arg_tags ?(config = Pipeline.baseline) src fid =
 let exec code ~func ~args =
   let cb =
     { Exec.call = (fun _ _ -> Alcotest.fail "unexpected call"); globals = [||]; cycles = ref 0;
-      charge = None; tick = None }
+      charge = None; tick = None; faults = false }
   in
-  let act = Exec.make_activation ~func ~args () in
-  Exec.run cb (Exec.load code) act ~at_osr:false
+  match Exec.call cb (Exec.load code) ~func ~env:[||] ~args with
+  | v -> Ok v
+  | exception Exec.Bailout b -> Error b
 
 let value = Alcotest.testable Value.pp Value.same_value
 
 let finished name expected = function
-  | Exec.Finished v -> Alcotest.check value name expected v
-  | Exec.Bailed b -> Alcotest.failf "%s: bailed (%s)" name b.Exec.bo_reason
+  | Ok v -> Alcotest.check value name expected v
+  | Error b -> Alcotest.failf "%s: bailed (%s)" name b.Exec.bo_reason
 
 (* The classic parallel-copy cycle: two loop-carried variables swapped every
    iteration. Phi elimination must break the cycle with a temporary; a naive
@@ -104,20 +105,17 @@ let test_entry_offset_is_zero_with_osr () =
   let run_at ~at_osr =
     let cb =
       { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
-        charge = None; tick = None }
+        charge = None; tick = None; faults = false }
     in
-    let act =
-      {
-        Exec.act_args = [| Value.Int 100 |];
-        act_env = [||];
-        act_cells = [| ref Value.Undefined |];
-        act_osr_args = [| Value.Int 100 |];
-        act_osr_locals = [| Value.Int 5; Value.Int 10 |];
-      }
-    in
-    match Exec.run cb (Exec.load code) act ~at_osr with
-    | Exec.Finished v -> v
-    | Exec.Bailed b -> Alcotest.failf "bailed: %s" b.Exec.bo_reason
+    let prog = Exec.load code in
+    match
+      if at_osr then
+        Exec.enter_osr cb prog ~env:[||] ~cells:[| ref Value.Undefined |]
+          ~args:[| Value.Int 100 |] ~locals:[| Value.Int 5; Value.Int 10 |]
+      else Exec.call cb prog ~func ~env:[||] ~args:[| Value.Int 100 |]
+    with
+    | v -> v
+    | exception Exec.Bailout b -> Alcotest.failf "bailed: %s" b.Exec.bo_reason
   in
   Alcotest.check value "entry path" (Value.Int 4950) (run_at ~at_osr:false);
   (* OSR with t=10 at i=5: 10 + sum(5..99) = 10 + 4950 - 10 = 4950. *)

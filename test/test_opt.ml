@@ -296,12 +296,11 @@ let test_unroll_constant_trip_loop () =
   let code, _ = Regalloc.run (Lower.run f) in
   let cb =
     { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
-      charge = None; tick = None }
+      charge = None; tick = None; faults = false }
   in
-  let act = Exec.make_activation ~func ~args:[| arr; Value.Int 5 |] () in
-  (match Exec.run cb (Exec.load code) act ~at_osr:false with
-  | Exec.Finished v -> Alcotest.(check bool) "sum" true (Value.same_value v (Value.Int 30))
-  | Exec.Bailed b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason)
+  (match Exec.call cb (Exec.load code) ~func ~env:[||] ~args:[| arr; Value.Int 5 |] with
+  | v -> Alcotest.(check bool) "sum" true (Value.same_value v (Value.Int 30))
+  | exception Exec.Bailout b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason)
 
 let test_unroll_zero_trip_loop () =
   let src = "function f(n) { var t = 7; for (var i = 0; i < n; i++) t = 0; return t; }" in
@@ -315,12 +314,11 @@ let test_unroll_zero_trip_loop () =
   let code, _ = Regalloc.run (Lower.run f) in
   let cb =
     { Exec.call = (fun _ _ -> assert false); globals = [||]; cycles = ref 0;
-      charge = None; tick = None }
+      charge = None; tick = None; faults = false }
   in
-  let act = Exec.make_activation ~func ~args:[| Value.Int 0 |] () in
-  match Exec.run cb (Exec.load code) act ~at_osr:false with
-  | Exec.Finished v -> Alcotest.(check bool) "initial value" true (Value.same_value v (Value.Int 7))
-  | Exec.Bailed b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason
+  match Exec.call cb (Exec.load code) ~func ~env:[||] ~args:[| Value.Int 0 |] with
+  | v -> Alcotest.(check bool) "initial value" true (Value.same_value v (Value.Int 7))
+  | exception Exec.Bailout b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason
 
 let test_unroll_skips_unknown_bounds () =
   let src = "function f(n) { var t = 0; for (var i = 0; i < n; i++) t += i; return t; }" in
@@ -634,17 +632,15 @@ print(map(new Array(1, 2, 3, 4, 5), 2, 5, inc));
   let code, _ = Regalloc.run (Lower.run f) in
   let cb =
     { Exec.call = (fun _ _ -> Alcotest.fail "unexpected call in inlined code");
-      globals = [||]; cycles = ref 0; charge = None; tick = None }
+      globals = [||]; cycles = ref 0; charge = None; tick = None; faults = false }
   in
-  let act = Exec.make_activation ~func:map_fn ~args:spec_args () in
-  (match Exec.run cb (Exec.load code) act ~at_osr:false with
-  | Exec.Finished (Value.Arr a) ->
+  (match Exec.call cb (Exec.load code) ~func:map_fn ~env:[||] ~args:spec_args with
+  | Value.Arr a ->
     Alcotest.(check (list int)) "array mutated in place" [ 1; 2; 4; 5; 6 ]
       (List.init a.Value.length (fun i ->
            match Value.arr_get a i with Value.Int n -> n | _ -> -1))
-  | Exec.Finished v ->
-    Alcotest.failf "expected the array back, got %s" (Value.to_display_string v)
-  | Exec.Bailed b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason)
+  | v -> Alcotest.failf "expected the array back, got %s" (Value.to_display_string v)
+  | exception Exec.Bailout b -> Alcotest.failf "unexpected bailout: %s" b.Exec.bo_reason)
 
 (* The full engine-level reproducer the differential property found: a
    specialized OSR entry bakes local [s] as the string "4"; with the buggy

@@ -490,6 +490,37 @@ let test_sinks_do_not_cost_cycles () =
   Alcotest.(check int) "same native cycles" bare.Engine.native_cycles
     traced.Engine.native_cycles
 
+(* The cell API and the string API share one store: a resolved cell is
+   the name's counter, registered (listed by [rows]) only once bumped,
+   and [reset] zeroes it in place without unregistering it. *)
+let test_counter_cells () =
+  let module C = Telemetry.Counters in
+  let c = C.create ~nfuncs:3 () in
+  let hits = C.cell c "cache.hits" in
+  Alcotest.(check (list (pair string int))) "resolved, never bumped: not listed" [] (C.rows c);
+  Alcotest.(check (list (pair string int))) "nor in a function's rows" [] (C.fid_rows c 1);
+  Alcotest.(check bool) "same cell on a second resolve" true (C.cell c "cache.hits" == hits);
+  C.bump_cell hits ~fid:1;
+  C.bump_cell ~n:4 hits ~fid:2;
+  C.bump c ~fid:1 "cache.hits";
+  C.bump_global c "telemetry.dropped";
+  Alcotest.(check int) "string get reads the cell" 2 (C.get c ~fid:1 "cache.hits");
+  Alcotest.(check int) "cell get reads string bumps" 2 (C.cell_get hits ~fid:1);
+  Alcotest.(check int) "total over functions" 6 (C.total c "cache.hits");
+  Alcotest.(check (list (pair string int))) "rows after bumps"
+    [ ("cache.hits", 6); ("telemetry.dropped", 1) ]
+    (C.rows c);
+  Alcotest.(check (list (pair string int))) "fid rows: non-zero only" [ ("cache.hits", 4) ]
+    (C.fid_rows c 2);
+  C.reset c;
+  Alcotest.(check (list (pair string int))) "reset keeps bumped names, at zero"
+    [ ("cache.hits", 0); ("telemetry.dropped", 0) ]
+    (C.rows c);
+  Alcotest.(check int) "reset zeroes the cell in place" 0 (C.cell_get hits ~fid:2);
+  C.bump_cell hits ~fid:0;
+  Alcotest.(check int) "the held cell is still the registry's" 1 (C.total c "cache.hits");
+  Alcotest.(check bool) "and still the name's cell" true (C.cell c "cache.hits" == hits)
+
 let test_compile_end_carries_pass_deltas () =
   (* The per-pass attribution the bench harness aggregates: every
      Compile_end lists the configured passes in order, with coherent sizes. *)
@@ -556,5 +587,7 @@ let suites =
         Alcotest.test_case "sinks never cost cycles" `Quick test_sinks_do_not_cost_cycles;
         Alcotest.test_case "compile events carry pass deltas" `Quick
           test_compile_end_carries_pass_deltas;
+        Alcotest.test_case "counter cells share the string API's store" `Quick
+          test_counter_cells;
       ] );
   ]
